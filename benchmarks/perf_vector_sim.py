@@ -82,16 +82,13 @@ def _time_scalar(weather, n_envs: int, n_steps: int) -> float:
     return time.perf_counter() - start
 
 
-def _time_fleet(weather, n_envs: int, n_steps: int, backend=None) -> float:
+def _time_fleet(weather, n_envs: int, n_steps: int) -> float:
     """Steady-state aggregate env-steps/sec for one fleet size.
 
     One warmup step runs outside the timed window so the propagator
-    build (and a jit backend's compilation) doesn't bill the steady
-    state the metric is about.
+    build doesn't bill the steady state the metric is about.
     """
-    vec = VectorHVACEnv(
-        [_make_env(weather, seed) for seed in range(n_envs)], backend=backend
-    )
+    vec = VectorHVACEnv([_make_env(weather, seed) for seed in range(n_envs)])
     vec.reset()
     action = np.ones((n_envs, 1), dtype=int)
     vec.step(action)
@@ -101,7 +98,7 @@ def _time_fleet(weather, n_envs: int, n_steps: int, backend=None) -> float:
     return n_envs * n_steps / (time.perf_counter() - start)
 
 
-def run_fleet_scale(sizes, n_steps: int = 8, backend=None) -> dict:
+def run_fleet_scale(sizes, n_steps: int = 8) -> dict:
     """SoA fleet-scaling sweep: steps/s per size plus the scaling ratio.
 
     ``fleet_scaling_efficiency`` is (steps/s at the largest size) over
@@ -115,7 +112,7 @@ def run_fleet_scale(sizes, n_steps: int = 8, backend=None) -> dict:
     )
     steps_per_s = {}
     for n in sizes:
-        steps_per_s[str(n)] = _time_fleet(weather, n, n_steps, backend=backend)
+        steps_per_s[str(n)] = _time_fleet(weather, n, n_steps)
     smallest, largest = str(sizes[0]), str(sizes[-1])
     return {
         "fleet_sizes": list(sizes),

@@ -13,9 +13,8 @@ setup(
     version="1.1.0",
     description=(
         "Reproduction of 'Deep Reinforcement Learning for Building HVAC "
-        "Control' (DAC 2017): simulator, DQN stack, SoA fleet engine with "
-        "pluggable compute backends, experiment store, serving tier, "
-        "telemetry, and workload replay"
+        "Control' (DAC 2017): simulator, DQN stack, SoA fleet engine, "
+        "experiment store, serving tier, telemetry, and workload replay"
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),

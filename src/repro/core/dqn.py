@@ -20,7 +20,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro import nn
-from repro.backend import BackendSpec, get_backend
 from repro.core.agent import AgentBase, owed_learn_steps
 from repro.core.prioritized_replay import PrioritizedReplayBuffer
 from repro.core.replay import ReplayBuffer
@@ -119,11 +118,6 @@ class DQNAgent(AgentBase):
         Hyperparameters.
     rng:
         Seed or generator driving init, exploration, and replay sampling.
-    backend:
-        Array-compute backend for the Q-network forward/backward passes
-        (name, instance, or ``None`` for the default numpy backend); pass
-        the vector env's ``backend`` so batched action selection runs on
-        the same substrate as the simulation.
     """
 
     def __init__(
@@ -133,13 +127,11 @@ class DQNAgent(AgentBase):
         *,
         config: Optional[DQNConfig] = None,
         rng: RandomState | int | None = None,
-        backend: "BackendSpec" = None,
     ) -> None:
         self.config = config if config is not None else DQNConfig()
         self.action_space = action_space
         self.obs_dim = int(obs_dim)
         self.n_actions = action_space.n_joint
-        self.backend = get_backend(backend)
 
         rng = ensure_rng(rng)
         self._explore_rng = derive_rng(rng, "explore")
@@ -147,11 +139,7 @@ class DQNAgent(AgentBase):
 
         net_cls = nn.DuelingMLP if self.config.dueling else nn.MLP
         self.online = net_cls(
-            self.obs_dim,
-            self.config.hidden,
-            self.n_actions,
-            rng=derive_rng(rng, "net"),
-            backend=self.backend,
+            self.obs_dim, self.config.hidden, self.n_actions, rng=derive_rng(rng, "net")
         )
         self.target = self.online.clone()
         self.optimizer = nn.Adam(self.online.parameters(), lr=self.config.learning_rate)
@@ -232,9 +220,8 @@ class DQNAgent(AgentBase):
         # Only the greedy rows need Q-values; exploring rows' argmax would
         # be discarded, which matters when ε is near 1 early in training.
         if np.any(greedy_rows):
-            b = self.backend
             q = self.online.forward(obs_batch[greedy_rows])
-            joint[greedy_rows] = b.to_numpy(b.argmax(b.asarray(q), axis=1))
+            joint[greedy_rows] = np.argmax(q, axis=1)
         if np.any(random_rows):
             joint[random_rows] = self._explore_rng.integers(
                 self.n_actions, size=int(random_rows.sum())

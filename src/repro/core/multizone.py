@@ -27,7 +27,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro import nn
-from repro.backend import BackendSpec, get_backend
 from repro.core.agent import AgentBase, owed_learn_steps
 from repro.core.dqn import DQNConfig
 from repro.core.replay import ReplayBuffer
@@ -67,14 +66,12 @@ class FactoredDQNAgent(AgentBase):
         *,
         config: Optional[DQNConfig] = None,
         rng: RandomState | int | None = None,
-        backend: "BackendSpec" = None,
     ) -> None:
         self.config = config if config is not None else DQNConfig()
         self.action_space = action_space
         self.obs_dim = int(obs_dim)
         self.n_zones = len(action_space.nvec)
         self.levels_per_zone = [int(n) for n in action_space.nvec]
-        self.backend = get_backend(backend)
 
         rng = ensure_rng(rng)
         self._explore_rng = derive_rng(rng, "explore")
@@ -89,7 +86,6 @@ class FactoredDQNAgent(AgentBase):
                 self.config.hidden,
                 n_levels,
                 rng=derive_rng(rng, f"zone{z}"),
-                backend=self.backend,
             )
             self.online.append(net)
             self.target.append(net.clone())

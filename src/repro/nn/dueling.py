@@ -17,7 +17,6 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.backend import ArrayBackend, BackendSpec, get_backend
 from repro.nn.initializers import he_uniform, xavier_uniform
 from repro.nn.layers import Layer, Linear, ReLU, Sequential, Tanh
 from repro.nn.parameter import Parameter
@@ -42,7 +41,6 @@ class DuelingMLP(Layer):
         *,
         activation: str = "relu",
         rng: RandomState | int | None = None,
-        backend: BackendSpec = None,
     ) -> None:
         if activation not in _ACTIVATIONS:
             raise ValueError(
@@ -55,7 +53,6 @@ class DuelingMLP(Layer):
         self.out_dim = int(out_dim)
         self.hidden = tuple(int(h) for h in hidden)
         self.activation = activation
-        self.backend: ArrayBackend = get_backend(backend)
 
         hidden_init = he_uniform if activation == "relu" else xavier_uniform
         act_cls = _ACTIVATIONS[activation]
@@ -69,20 +66,18 @@ class DuelingMLP(Layer):
                     rng=derive_rng(rng, f"trunk{i}"),
                     weight_init=hidden_init,
                     name=f"trunk{i}",
-                    backend=self.backend,
                 )
             )
-            layers.append(act_cls(backend=self.backend))
+            layers.append(act_cls())
             prev = width
         self._trunk = Sequential(layers)
         self._value_head = Linear(
             prev, 1, rng=derive_rng(rng, "value"), weight_init=xavier_uniform,
-            name="value_head", backend=self.backend,
+            name="value_head",
         )
         self._adv_head = Linear(
             prev, self.out_dim, rng=derive_rng(rng, "advantage"),
             weight_init=xavier_uniform, name="advantage_head",
-            backend=self.backend,
         )
 
     # ------------------------------------------------------------- forward
@@ -139,7 +134,7 @@ class DuelingMLP(Layer):
         """Create a new network with identical architecture and weights."""
         twin = DuelingMLP(
             self.in_dim, self.hidden, self.out_dim,
-            activation=self.activation, rng=0, backend=self.backend,
+            activation=self.activation, rng=0,
         )
         twin.copy_weights_from(self)
         return twin

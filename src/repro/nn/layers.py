@@ -12,7 +12,6 @@ from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.backend import ArrayBackend, BackendSpec, get_backend
 from repro.nn.initializers import he_uniform
 from repro.nn.parameter import Parameter
 from repro.utils.seeding import RandomState, ensure_rng
@@ -40,15 +39,7 @@ class Layer:
 
 
 class Linear(Layer):
-    """Affine map ``y = x @ W + b`` with shape ``(in_dim, out_dim)``.
-
-    The matmuls of ``forward``/``backward`` route through an
-    :class:`~repro.backend.ArrayBackend` chosen at construction (numpy by
-    default, where the ops are the numpy functions and results are
-    bit-identical to the direct expressions).  Parameters and their
-    gradient accumulators stay host-side numpy arrays — only the pure
-    array products cross the seam.
-    """
+    """Affine map ``y = x @ W + b`` with shape ``(in_dim, out_dim)``."""
 
     def __init__(
         self,
@@ -58,14 +49,12 @@ class Linear(Layer):
         rng: RandomState | int | None = None,
         weight_init: Callable[[RandomState, int, int], np.ndarray] = he_uniform,
         name: str = "linear",
-        backend: BackendSpec = None,
     ) -> None:
         if in_dim <= 0 or out_dim <= 0:
             raise ValueError(f"dims must be > 0, got in={in_dim} out={out_dim}")
         rng = ensure_rng(rng)
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
-        self.backend: ArrayBackend = get_backend(backend)
         self.weight = Parameter(weight_init(rng, in_dim, out_dim), f"{name}.weight")
         self.bias = Parameter(np.zeros(out_dim), f"{name}.bias")
         self._last_input: Optional[np.ndarray] = None
@@ -77,19 +66,16 @@ class Linear(Layer):
                 f"{self.weight.name}: expected input (batch, {self.in_dim}), got {x.shape}"
             )
         self._last_input = x
-        b = self.backend
-        return b.to_numpy(b.matmul(b.asarray(x), b.asarray(self.weight.value))) + self.bias.value
+        return x @ self.weight.value + self.bias.value
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._last_input is None:
             raise RuntimeError("backward called before forward")
         x = self._last_input
         grad_out = np.asarray(grad_out, dtype=np.float64)
-        b = self.backend
-        g = b.asarray(grad_out)
-        self.weight.grad += b.to_numpy(b.matmul(b.transpose(b.asarray(x)), g))
-        self.bias.grad += b.to_numpy(b.sum(g, axis=0))
-        return b.to_numpy(b.matmul(g, b.transpose(b.asarray(self.weight.value))))
+        self.weight.grad += x.T @ grad_out
+        self.bias.grad += grad_out.sum(axis=0)
+        return grad_out @ self.weight.value.T
 
     def parameters(self) -> List[Parameter]:
         return [self.weight, self.bias]
@@ -98,33 +84,28 @@ class Linear(Layer):
 class ReLU(Layer):
     """Elementwise rectifier ``max(x, 0)``."""
 
-    def __init__(self, *, backend: BackendSpec = None) -> None:
-        self.backend: ArrayBackend = get_backend(backend)
+    def __init__(self) -> None:
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         self._mask = x > 0
-        b = self.backend
-        return b.to_numpy(b.where(self._mask, x, 0.0))
+        return np.where(self._mask, x, 0.0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        b = self.backend
-        return b.to_numpy(b.where(self._mask, b.asarray(grad_out), 0.0))
+        return np.where(self._mask, grad_out, 0.0)
 
 
 class Tanh(Layer):
     """Elementwise hyperbolic tangent."""
 
-    def __init__(self, *, backend: BackendSpec = None) -> None:
-        self.backend: ArrayBackend = get_backend(backend)
+    def __init__(self) -> None:
         self._output: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        b = self.backend
-        self._output = b.to_numpy(b.tanh(np.asarray(x, dtype=np.float64)))
+        self._output = np.tanh(np.asarray(x, dtype=np.float64))
         return self._output
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -12,20 +12,12 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.backend import ArrayBackend, BackendSpec, get_backend
 from repro.nn.initializers import he_uniform, xavier_uniform
 from repro.nn.layers import Identity, Layer, Linear, ReLU, Sequential, Tanh
 from repro.nn.parameter import Parameter
 from repro.utils.seeding import RandomState, derive_rng, ensure_rng
 
 _ACTIVATIONS = {"relu": ReLU, "tanh": Tanh, "identity": Identity}
-
-
-def _make_activation(name: str, backend: ArrayBackend) -> Layer:
-    cls = _ACTIVATIONS[name]
-    if cls is Identity:
-        return cls()
-    return cls(backend=backend)
 
 
 class MLP(Layer):
@@ -41,10 +33,6 @@ class MLP(Layer):
         Hidden nonlinearity: ``"relu"`` (default) or ``"tanh"``.
     rng:
         Seed or generator for weight initialization.
-    backend:
-        Array-compute backend for the forward/backward matmuls (name,
-        instance, or ``None`` for the default numpy backend).  Weight
-        initialization and parameter storage stay numpy regardless.
     """
 
     def __init__(
@@ -55,7 +43,6 @@ class MLP(Layer):
         *,
         activation: str = "relu",
         rng: RandomState | int | None = None,
-        backend: BackendSpec = None,
     ) -> None:
         if activation not in _ACTIVATIONS:
             raise ValueError(
@@ -66,9 +53,9 @@ class MLP(Layer):
         self.out_dim = int(out_dim)
         self.hidden = tuple(int(h) for h in hidden)
         self.activation = activation
-        self.backend: ArrayBackend = get_backend(backend)
 
         hidden_init = he_uniform if activation == "relu" else xavier_uniform
+        act_cls = _ACTIVATIONS[activation]
 
         layers: List[Layer] = []
         prev = self.in_dim
@@ -80,10 +67,9 @@ class MLP(Layer):
                     rng=derive_rng(rng, f"layer{i}"),
                     weight_init=hidden_init,
                     name=f"hidden{i}",
-                    backend=self.backend,
                 )
             )
-            layers.append(_make_activation(activation, self.backend))
+            layers.append(act_cls())
             prev = width
         layers.append(
             Linear(
@@ -92,7 +78,6 @@ class MLP(Layer):
                 rng=derive_rng(rng, "output"),
                 weight_init=xavier_uniform,
                 name="output",
-                backend=self.backend,
             )
         )
         self._net = Sequential(layers)
@@ -139,7 +124,6 @@ class MLP(Layer):
             self.out_dim,
             activation=self.activation,
             rng=0,
-            backend=self.backend,
         )
         twin.copy_weights_from(self)
         return twin

@@ -15,28 +15,41 @@ all conductances and heat inputs are 0, and their propagator rows are 0,
 so padded temperatures stay identically 0 forever.
 
 Fleet state is stored structure-of-arrays (columnar ``capacitance``,
-``ua_ambient``, ``zone_mask``) and the step arithmetic routes through a
-pluggable :class:`~repro.backend.ArrayBackend` selected at construction.
-The default numpy backend's operations are the numpy functions
-themselves, so the default path stays bit-identical to the direct
-expression; a jit-capable backend (e.g. jax) compiles the same kernel.
+``ua_ambient``, ``zone_mask``).  The update itself is the module-level
+:func:`advance`, shared with the fused step kernel of
+:class:`~repro.sim.vector_env.VectorHVACEnv` so the fleet has one RC
+update.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import ArrayBackend, BackendSpec, get_backend
 from repro.building.thermal import RCNetwork
 from repro.utils.validation import check_positive
 
-#: Distinct step lengths whose stacked propagators are kept resident.
-#: Each entry costs two ``(n_envs, z, z)`` arrays, so for 10k-building
-#: fleets a runaway set of dt values would otherwise hold gigabytes.
-PROPAGATOR_CACHE_SIZE = 4
+
+def advance(
+    decay: np.ndarray,
+    gain: np.ndarray,
+    temps: np.ndarray,
+    temp_out: np.ndarray,
+    heat_w: np.ndarray,
+    cap: np.ndarray,
+    ua: np.ndarray,
+) -> np.ndarray:
+    """One zero-order-held RC step for a stacked fleet.
+
+    ``decay``/``gain`` are ``(n, z, z)`` propagators, ``temps``/``heat_w``/
+    ``cap``/``ua`` are ``(n, z)`` and ``temp_out`` is ``(n,)``.
+    """
+    forcing = (ua * temp_out[:, None] + heat_w) / cap
+    return (
+        np.matmul(decay, temps[..., None])[..., 0]
+        + np.matmul(gain, forcing[..., None])[..., 0]
+    )
 
 
 class BatchRCNetwork:
@@ -49,27 +62,11 @@ class BatchRCNetwork:
         dynamics matrix (every zone coupled to ambient through some path)
         — the same condition under which the scalar step uses its exact
         propagator rather than the Euler fallback.
-    backend:
-        Array-compute backend (name, instance, or ``None`` for the
-        default numpy backend) executing the batched step arithmetic.
-    cache_size:
-        Maximum distinct ``dt`` values whose stacked propagators stay
-        cached (least-recently-used eviction).  The overwhelmingly common
-        single-dt case is served by a dedicated fast path and never pays
-        for the bookkeeping.
     """
 
-    def __init__(
-        self,
-        networks: Sequence[RCNetwork],
-        *,
-        backend: BackendSpec = None,
-        cache_size: int = PROPAGATOR_CACHE_SIZE,
-    ) -> None:
+    def __init__(self, networks: Sequence[RCNetwork]) -> None:
         if not networks:
             raise ValueError("need at least one network")
-        if cache_size < 1:
-            raise ValueError(f"cache_size must be >= 1, got {cache_size}")
         for k, net in enumerate(networks):
             if net._m_inverse is None:
                 raise ValueError(
@@ -80,7 +77,6 @@ class BatchRCNetwork:
         self.networks: List[RCNetwork] = list(networks)
         self.n_envs = len(networks)
         self.max_zones = max(net.n_zones for net in networks)
-        self.backend: ArrayBackend = get_backend(backend)
 
         n, z = self.n_envs, self.max_zones
         self.n_zones = np.array([net.n_zones for net in networks], dtype=int)
@@ -92,72 +88,33 @@ class BatchRCNetwork:
             self.zone_mask[k, :m] = True
             self.capacitance[k, :m] = net.capacitance
             self.ua_ambient[k, :m] = net.ua_ambient
-
-        b = self.backend
-        # Columns live on the backend; numpy's asarray is a no-copy view.
-        self._cap_col = b.asarray(self.capacitance)
-        self._ua_col = b.asarray(self.ua_ambient)
-        self._step_core = b.jit(self._make_step_core())
-
-        self._cache_size = int(cache_size)
-        self._propagator_cache: OrderedDict[
-            float, Tuple[np.ndarray, np.ndarray]
-        ] = OrderedDict()
-        # Single-dt fast path: the control loop steps with one dt for the
-        # whole run, so the lookup must cost one tuple compare, not an
-        # OrderedDict move_to_end.
-        self._last_dt: float | None = None
-        self._last_props: Tuple[np.ndarray, np.ndarray] | None = None
+        # Only the last dt's pair is kept: a vector env steps with one dt
+        # for its whole life, and each pair costs two (n, z, z) arrays.
+        self._last_dt: Optional[float] = None
+        self._last_props: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------ propagators
-    def _build_propagators(self, key: float) -> Tuple[np.ndarray, np.ndarray]:
-        n, z = self.n_envs, self.max_zones
-        decay = np.zeros((n, z, z))
-        gain = np.zeros((n, z, z))
-        for k, net in enumerate(self.networks):
-            m = net.n_zones
-            d, g = net._propagator(key)
-            decay[k, :m, :m] = d
-            gain[k, :m, :m] = g
-        b = self.backend
-        return b.asarray(decay), b.asarray(gain)
-
     def _propagators(self, dt_seconds: float) -> Tuple[np.ndarray, np.ndarray]:
         """Stacked, zero-padded ``(decay, gain)`` for a step length.
 
-        Cached per distinct ``dt`` with LRU eviction (see ``cache_size``);
-        repeated calls with the same ``dt`` return the identical pair.
+        Repeated calls with the same ``dt`` return the identical pair; a
+        new ``dt`` rebuilds it.
         """
         key = float(dt_seconds)
-        if key == self._last_dt:
-            return self._last_props  # type: ignore[return-value]
-        cache = self._propagator_cache
-        if key in cache:
-            cache.move_to_end(key)
-            props = cache[key]
-        else:
-            props = self._build_propagators(key)
-            cache[key] = props
-            while len(cache) > self._cache_size:
-                cache.popitem(last=False)
-        self._last_dt = key
-        self._last_props = props
-        return props
+        if key != self._last_dt:
+            n, z = self.n_envs, self.max_zones
+            decay = np.zeros((n, z, z))
+            gain = np.zeros((n, z, z))
+            for k, net in enumerate(self.networks):
+                m = net.n_zones
+                d, g = net._propagator(key)
+                decay[k, :m, :m] = d
+                gain[k, :m, :m] = g
+            self._last_dt = key
+            self._last_props = (decay, gain)
+        return self._last_props  # type: ignore[return-value]
 
     # ---------------------------------------------------------------- stepping
-    def _make_step_core(self):
-        """Pure batched update, closed over the backend's ops for ``jit``."""
-        b = self.backend
-
-        def step_core(decay, gain, temps, temp_out, heat_w, cap, ua):
-            forcing = (ua * temp_out[:, None] + heat_w) / cap
-            return (
-                b.matmul(decay, temps[..., None])[..., 0]
-                + b.matmul(gain, forcing[..., None])[..., 0]
-            )
-
-        return step_core
-
     def step(
         self,
         temps: np.ndarray,
@@ -195,20 +152,11 @@ class BatchRCNetwork:
                 f"temp_out must have shape ({self.n_envs},), got {temp_out.shape}"
             )
         decay, gain = self._propagators(dt_seconds)
-        b = self.backend
-        out = self._step_core(
-            decay,
-            gain,
-            b.asarray(temps),
-            b.asarray(temp_out),
-            b.asarray(heat_w),
-            self._cap_col,
-            self._ua_col,
+        return advance(
+            decay, gain, temps, temp_out, heat_w, self.capacitance, self.ua_ambient
         )
-        return b.to_numpy(out)
 
     def __repr__(self) -> str:
         return (
-            f"BatchRCNetwork(n_envs={self.n_envs}, max_zones={self.max_zones}, "
-            f"backend={self.backend.name!r})"
+            f"BatchRCNetwork(n_envs={self.n_envs}, max_zones={self.max_zones})"
         )

@@ -21,6 +21,11 @@ envs' trajectories to floating-point round-off, including RNG
 consumption — the vector env drives each scalar env's own generators for
 resets and forecast noise, and its arithmetic mirrors the scalar step
 operation for operation.
+
+Fleet state is structure-of-arrays: static per-env columns built once at
+construction, and one fused numpy kernel (:meth:`VectorHVACEnv._step_kernel`)
+covering plant response, the RC advance
+(:func:`~repro.sim.batch_thermal.advance`), comfort and rewards.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import ArrayBackend, BackendSpec, get_backend
 from repro.env.hvac_env import (
     _GHI_SCALE,
     _OUT_CENTER_C,
@@ -41,7 +45,7 @@ from repro.env.hvac_env import (
     HVACEnv,
 )
 from repro.hvac.vav import AIR_CP_J_PER_KG_K
-from repro.sim.batch_thermal import BatchRCNetwork
+from repro.sim.batch_thermal import BatchRCNetwork, advance
 from repro.weather.series import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 
@@ -147,13 +151,6 @@ class VectorHVACEnv:
         episode's first observation; the terminal observation is kept in
         ``info.terminal_obs``.  When False, finished environments freeze
         (zero reward, ``done`` stays True) until :meth:`reset`.
-    backend:
-        Array-compute backend (name, instance, or ``None`` for the
-        default numpy backend) executing the batched step arithmetic.
-        On the numpy default the math is bit-identical to the scalar
-        envs; jit-capable backends compile the step kernel once at
-        construction.  Randomness never crosses the seam — resets and
-        forecast noise always consume the member envs' own generators.
     """
 
     def __init__(
@@ -161,7 +158,6 @@ class VectorHVACEnv:
         envs: Sequence[HVACEnv],
         *,
         autoreset: bool = True,
-        backend: BackendSpec = None,
     ) -> None:
         if not envs:
             raise ValueError("need at least one environment")
@@ -179,11 +175,8 @@ class VectorHVACEnv:
         n = self.n_envs = len(self.envs)
         self.dt_seconds = dts.pop()
         self._dt_hours = self.dt_seconds / 3600.0
-        self.backend: ArrayBackend = get_backend(backend)
 
-        self.batch_net = BatchRCNetwork(
-            [env.building.network for env in self.envs], backend=self.backend
-        )
+        self.batch_net = BatchRCNetwork([env.building.network for env in self.envs])
         z = self.max_zones = self.batch_net.max_zones
         self.n_zones = self.batch_net.n_zones
         self.zone_mask = self.batch_net.zone_mask
@@ -229,7 +222,6 @@ class VectorHVACEnv:
         self._build_time_tables()
         self._build_obs_groups()
         self._build_forecast_columns()
-        self._step_core = self._make_step_core()
 
         # ------------------------------------------------------ dynamic state
         self._temps = np.zeros((n, z))
@@ -511,102 +503,78 @@ class VectorHVACEnv:
                 obs[sel, col + 3 + h : col + 3 + 2 * h] = f_ghi / _GHI_SCALE
 
     # -------------------------------------------------------------- stepping
-    def _make_step_core(self):
-        """Build the pure batched step kernel, closed over the backend.
+    def _step_kernel(self, levels, temp_out, ghi, price, occupied, gains, active):
+        """Every RNG-free array operation of one control step.
 
-        The kernel contains every RNG-free array operation of a control
-        step — plant response, thermal advance, comfort accounting,
-        reward shaping — expressed through the backend's ops so a
-        jit-capable backend compiles it once.  On the numpy default the
-        ops *are* the numpy functions, so the kernel is bit-identical to
-        the scalar envs' arithmetic.  Static fleet columns are captured
-        as backend arrays (constants under jit); per-step inputs arrive
-        as arguments.
+        Plant response, thermal advance, comfort accounting and reward
+        shaping over the static fleet columns and the current zone
+        temperatures; the arithmetic mirrors the scalar envs' step
+        operation for operation.
         """
-        b = self.backend
-        dt = self.dt_seconds
+        temps = self._temps
+        supply = self._supply_temp
+        oaf = self._oaf
+        comfort_w = self._comfort_weight
+        cost_w = self._cost_weight
+        zone_mask = self.zone_mask
         dt_hours = self._dt_hours
-        flow_table = b.asarray(self._flow_table)
-        supply = b.asarray(self._supply_temp)
-        oaf = b.asarray(self._oaf)
-        cop = b.asarray(self._cop)
-        fan_scale = b.asarray(self._fan_scale)
-        plant_max_flow = b.asarray(self._plant_max_flow)
-        aperture = b.asarray(self._aperture)
-        occ_low = b.asarray(self._occ_low)
-        occ_high = b.asarray(self._occ_high)
-        set_low = b.asarray(self._set_low)
-        set_high = b.asarray(self._set_high)
-        comfort_w = b.asarray(self._comfort_weight)
-        cost_w = b.asarray(self._cost_weight)
-        zone_mask = b.asarray(self.zone_mask)
-        n_zones = b.asarray(self.n_zones)
-        cap = b.asarray(self.batch_net.capacitance)
-        ua = b.asarray(self.batch_net.ua_ambient)
 
-        def step_core(
-            decay, gain, levels, temps, temp_out, ghi, price, occupied, gains, active
-        ):
-            # Plant response (mirrors VAVSystem.zone_heat_w / electric_power_w).
-            flows = b.gather(flow_table, levels, axis=1)
-            hvac_heat = flows * AIR_CP_J_PER_KG_K * (supply[:, None] - temps)
-            total_flow = b.sum(flows, axis=1)
-            frac = total_flow / plant_max_flow
-            fan_power = fan_scale * b.power(frac, 3)
-            safe_total = b.where(total_flow > 0.0, total_flow, 1.0)
-            return_temp = b.sum(flows * temps, axis=1) / safe_total
-            mixed = (1.0 - oaf) * return_temp + oaf * temp_out
-            delta = b.maximum(mixed - supply, 0.0)
-            coil_power = b.where(
-                total_flow > 0.0,
-                total_flow * AIR_CP_J_PER_KG_K * delta / cop,
-                0.0,
-            )
-            power_w = fan_power + coil_power
-            energy_kwh = power_w * dt / 3.6e6
-            cost_usd = energy_kwh * price
+        # Plant response (mirrors VAVSystem.zone_heat_w / electric_power_w).
+        flows = np.take_along_axis(self._flow_table, levels, axis=1)
+        hvac_heat = flows * AIR_CP_J_PER_KG_K * (supply[:, None] - temps)
+        total_flow = np.sum(flows, axis=1)
+        frac = total_flow / self._plant_max_flow
+        fan_power = self._fan_scale * np.power(frac, 3)
+        safe_total = np.where(total_flow > 0.0, total_flow, 1.0)
+        return_temp = np.sum(flows * temps, axis=1) / safe_total
+        mixed = (1.0 - oaf) * return_temp + oaf * temp_out
+        delta = np.maximum(mixed - supply, 0.0)
+        coil_power = np.where(
+            total_flow > 0.0,
+            total_flow * AIR_CP_J_PER_KG_K * delta / self._cop,
+            0.0,
+        )
+        power_w = fan_power + coil_power
+        energy_kwh = power_w * self.dt_seconds / 3.6e6
+        cost_usd = energy_kwh * price
 
-            # Thermal advance (solar + internal + HVAC heat, zero-order
-            # held) — the batched propagator update, inlined so one
-            # kernel covers the whole step.
-            heat = aperture * ghi[:, None] + gains + hvac_heat
-            forcing = (ua * temp_out[:, None] + heat) / cap
-            stepped = (
-                b.matmul(decay, temps[..., None])[..., 0]
-                + b.matmul(gain, forcing[..., None])[..., 0]
-            )
-            new_temps = b.where(active[:, None], stepped, temps)
+        # Thermal advance (solar + internal + HVAC heat, zero-order held).
+        net = self.batch_net
+        decay, gain = net._propagators(self.dt_seconds)
+        heat = self._aperture * ghi[:, None] + gains + hvac_heat
+        stepped = advance(
+            decay, gain, temps, temp_out, heat, net.capacitance, net.ua_ambient
+        )
+        new_temps = np.where(active[:, None], stepped, temps)
 
-            # Comfort accounting on end-of-step temperatures.
-            low = b.where(occupied, occ_low, set_low)
-            high = b.where(occupied, occ_high, set_high)
-            violations = b.maximum(0.0, b.maximum(new_temps - high, low - new_temps))
-            violations = b.where(zone_mask, violations, 0.0)
-            violation_deg_hours = b.sum(violations, axis=1) * dt_hours
+        # Comfort accounting on end-of-step temperatures.
+        low = np.where(occupied, self._occ_low, self._set_low)
+        high = np.where(occupied, self._occ_high, self._set_high)
+        violations = np.maximum(0.0, np.maximum(new_temps - high, low - new_temps))
+        violations = np.where(zone_mask, violations, 0.0)
+        violation_deg_hours = np.sum(violations, axis=1) * dt_hours
 
-            reward = -cost_w * cost_usd - comfort_w * violation_deg_hours
-            cost_share = b.where(
-                total_flow[:, None] > 0.0,
-                flows / safe_total[:, None],
-                zone_mask / n_zones[:, None],
-            )
-            reward_per_zone = (
-                -cost_w[:, None] * cost_usd[:, None] * cost_share
-                - comfort_w[:, None] * violations * dt_hours
-            )
-            reward = b.where(active, reward, 0.0)
-            return (
-                new_temps,
-                power_w,
-                energy_kwh,
-                cost_usd,
-                violations,
-                violation_deg_hours,
-                reward,
-                reward_per_zone,
-            )
-
-        return b.jit(step_core)
+        reward = -cost_w * cost_usd - comfort_w * violation_deg_hours
+        cost_share = np.where(
+            total_flow[:, None] > 0.0,
+            flows / safe_total[:, None],
+            zone_mask / self.n_zones[:, None],
+        )
+        reward_per_zone = (
+            -cost_w[:, None] * cost_usd[:, None] * cost_share
+            - comfort_w[:, None] * violations * dt_hours
+        )
+        reward = np.where(active, reward, 0.0)
+        return (
+            new_temps,
+            power_w,
+            energy_kwh,
+            cost_usd,
+            violations,
+            violation_deg_hours,
+            reward,
+            reward_per_zone,
+        )
 
     def _coerce_actions(self, actions) -> np.ndarray:
         if isinstance(actions, (list, tuple)) and actions and np.ndim(actions[0]) > 0:
@@ -659,25 +627,6 @@ class VectorHVACEnv:
         gains = self._gains[rows, i]
         day = self._day[rows, i]
         hour = self._hour[rows, i]
-        dt = self.dt_seconds
-
-        # One backend kernel covers plant response, thermal advance,
-        # comfort accounting, and rewards; the dt-keyed propagators come
-        # from the batch network's LRU cache.
-        decay, gain = self.batch_net._propagators(dt)
-        b = self.backend
-        out = self._step_core(
-            decay,
-            gain,
-            b.asarray(levels),
-            b.asarray(self._temps),
-            b.asarray(temp_out),
-            b.asarray(ghi),
-            b.asarray(price),
-            b.asarray(occupied),
-            b.asarray(gains),
-            b.asarray(active),
-        )
         (
             new_temps,
             power_w,
@@ -687,7 +636,7 @@ class VectorHVACEnv:
             violation_deg_hours,
             reward,
             reward_per_zone,
-        ) = (b.to_numpy(x) for x in out)
+        ) = self._step_kernel(levels, temp_out, ghi, price, occupied, gains, active)
 
         # Freeze finished envs (autoreset=False) and advance the rest.
         self._temps = new_temps
@@ -786,5 +735,5 @@ class VectorHVACEnv:
     def __repr__(self) -> str:
         return (
             f"VectorHVACEnv(n_envs={self.n_envs}, max_zones={self.max_zones}, "
-            f"autoreset={self.autoreset}, backend={self.backend.name!r})"
+            f"autoreset={self.autoreset})"
         )

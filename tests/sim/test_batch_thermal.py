@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.building.thermal import RCNetwork
 from repro.sim import BatchRCNetwork
@@ -48,37 +50,19 @@ class TestBatchRCNetwork:
         assert batch._propagators(900.0) is first
         assert batch._propagators(450.0) is not first
 
-    def test_propagator_cache_evicts_lru(self, rng):
-        batch = BatchRCNetwork([_random_network(rng, 2)], cache_size=2)
+    def test_propagator_cache_keeps_only_last_dt(self, rng):
+        batch = BatchRCNetwork([_random_network(rng, 2)])
         p900 = batch._propagators(900.0)
-        batch._propagators(450.0)
-        # Touch 900 so 450 becomes the least recently used...
-        assert batch._propagators(900.0) is p900
-        # ...then a third dt must evict 450, not 900.
-        batch._propagators(300.0)
-        assert set(batch._propagator_cache) == {900.0, 300.0}
-        assert batch._propagators(900.0) is p900
-        # A rebuilt 450 is a fresh pair (it was evicted).
-        assert batch._propagators(450.0) is not p900
-        assert set(batch._propagator_cache) == {900.0, 450.0}
-
-    def test_propagator_cache_single_dt_never_evicted(self, rng):
-        # The fast path keeps the active dt alive no matter how often it
-        # alternates with exactly one other dt at cache_size=1.
-        batch = BatchRCNetwork([_random_network(rng, 2)], cache_size=1)
-        p900 = batch._propagators(900.0)
-        for _ in range(3):
-            assert batch._propagators(900.0) is p900
-        batch._propagators(450.0)
-        assert set(batch._propagator_cache) == {450.0}
-        # Evicted dt still computes correctly when it comes back.
+        p450 = batch._propagators(450.0)
+        assert batch._propagators(450.0) is p450
+        # Going back to 900 s rebuilds its pair (only the last dt is kept).
         rebuilt = batch._propagators(900.0)
-        np.testing.assert_array_equal(rebuilt[0], p900[0])
-        np.testing.assert_array_equal(rebuilt[1], p900[1])
-
-    def test_rejects_bad_cache_size(self, rng):
-        with pytest.raises(ValueError, match="cache_size"):
-            BatchRCNetwork([_random_network(rng, 2)], cache_size=0)
+        assert rebuilt is not p900
+        # Each rebuilt pair equals a fresh network's build.
+        for dt, pair in ((450.0, p450), (900.0, rebuilt)):
+            fresh = BatchRCNetwork(batch.networks)._propagators(dt)
+            np.testing.assert_array_equal(pair[0], fresh[0])
+            np.testing.assert_array_equal(pair[1], fresh[1])
 
     def test_rejects_singular_network(self):
         # A zone fully isolated from ambient makes M singular.
@@ -100,3 +84,24 @@ class TestBatchRCNetwork:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             BatchRCNetwork([])
+
+
+# A padded fleet: one 1-zone and one 3-zone building.
+_PADDED_NETS = [
+    _random_network(np.random.default_rng(7), z) for z in (1, 3)
+]
+_HEAT = np.array([[800.0, 0.0, 0.0], [-1500.0, 300.0, 1200.0]])
+_TEMP_OUT = np.array([31.0, 12.0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from([300.0, 450.0, 900.0, 3600.0]), min_size=1, max_size=10))
+def test_one_entry_cache_matches_fresh_build_over_dt_sequences(dts):
+    batch = BatchRCNetwork(_PADDED_NETS)
+    temps = np.array([[22.0, 0.0, 0.0], [20.0, 24.0, 26.0]])
+    for dt in dts:
+        out = batch.step(temps, _TEMP_OUT, _HEAT, dt)
+        expected = BatchRCNetwork(_PADDED_NETS).step(temps, _TEMP_OUT, _HEAT, dt)
+        assert np.array_equal(out, expected)
+        assert np.all(out[0, 1:] == 0.0)
+        temps = out

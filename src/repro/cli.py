@@ -69,7 +69,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.baselines import PIDController, ThermostatController
 from repro.building import single_zone_building
@@ -1086,92 +1086,87 @@ def _cmd_weather(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_campaign_store(
-    args: argparse.Namespace, spec, *, kind: str, label: str
-):
-    """Open/create a resumable run directory for a campaign-shaped sweep.
+def _axis_flag(value: str, every=None) -> Tuple[str, ...]:
+    """A comma-separated grid-axis flag; ``all`` expands to ``every()``."""
+    if value == "all" and every is not None:
+        return tuple(every())
+    return tuple(v for v in value.split(",") if v)
 
-    Returns ``(store, error_code)``: cells are keyed by (scenario,
-    controller, fault), so a stored cell is only a valid answer when
-    seeds/episodes match the stored run; widening scenarios,
-    controllers, or faults is the intended resume path, changing the
-    per-cell workload is not.
+
+def _open_grid_store(args: argparse.Namespace, spec, jobs, *, kind: str):
+    """Open/create the ``--resume`` run directory of a grid sweep.
+
+    Cells are keyed by their axes (scenario, controller, fault,
+    workload), so a stored cell is only a valid answer when the spec's
+    ``RESUME_PINNED`` parameters (seeds, episodes, fleet, ...) match the
+    stored run: widening an axis is the intended resume path, changing
+    the per-cell workload is not.  Raises ``ValueError``/``OSError``.
     """
+    from repro.sim.grid import cell_identity
     from repro.store import ExperimentStore
 
-    try:
-        store = ExperimentStore.open_or_create(
-            args.resume, kind=kind, config=spec.as_config(), command=args.argv
-        )
-    except (OSError, ValueError) as exc:  # e.g. resuming a different run kind
-        print(f"{label}: {exc}", file=sys.stderr)
-        return None, 2
-    stored_config = store.manifest.config
     current_config = spec.as_config()
-    for key in ("seeds", "n_episodes"):
+    store = ExperimentStore.open_or_create(
+        args.resume, kind=kind, config=current_config, command=args.argv
+    )
+    stored_config = store.manifest.config
+    for key in spec.RESUME_PINNED:
         if key in stored_config and stored_config[key] != current_config[key]:
-            print(
-                f"{label}: --resume {args.resume} was created with "
+            raise ValueError(
+                f"--resume {args.resume} was created with "
                 f"{key}={stored_config[key]}, but this run requests "
-                f"{key}={current_config[key]}; use a fresh run directory",
-                file=sys.stderr,
+                f"{key}={current_config[key]}; use a fresh run directory"
             )
-            return None, 2
-    planned = {
-        (s, c, f)
-        for s in current_config["scenarios"]
-        for c in current_config["controllers"]
-        for f in current_config["faults"]
-    }
-    reused = len(store.completed_cells() & planned)
+    planned = {cell_identity(job) for job in jobs}
+    reused = len(store.completed() & planned)
     if reused:
         print(f"resuming {args.resume}: {reused} of {len(planned)} cells stored")
-    return store, 0
+    return store
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.sim import CampaignSpec, get_scenario, list_scenarios, run_campaign
+def _run_campaign_flags(args: argparse.Namespace, label: str, faults):
+    """Run the campaign a ``campaign``/``robustness`` invocation
+    describes and print its table.
 
-    if args.list_scenarios:
-        for name in list_scenarios():
-            print(f"{name:20s} {get_scenario(name).description}")
-        return 0
-    if args.scenarios == "all":
-        scenario_names = tuple(list_scenarios())
-    else:
-        scenario_names = tuple(s for s in args.scenarios.split(",") if s)
-    controllers = tuple(c for c in args.controllers.split(",") if c)
-    faults = tuple(f for f in args.faults.split(",") if f)
+    Returns ``(result, store, monitor, slo_spec)``, or exit code 2 with
+    ``label: message`` on stderr when a flag is bad (before any cell
+    runs).
+    """
+    from repro.sim import CampaignSpec, expand_campaign, list_scenarios, run_campaign
+
+    store = None
     try:
-        for name in scenario_names:
-            get_scenario(name)
         spec = CampaignSpec(
-            scenarios=scenario_names,
-            controllers=controllers,
+            scenarios=_axis_flag(args.scenarios, list_scenarios),
+            controllers=_axis_flag(args.controllers),
             seeds=tuple(range(args.seeds)),
             n_episodes=args.episodes,
             faults=faults,
         )
-    except (KeyError, ValueError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"campaign: {message}", file=sys.stderr)
-        return 2
-    store = None
-    if args.resume:
-        store, code = _open_campaign_store(
-            args, spec, kind="campaign", label="campaign"
-        )
-        if store is None:
-            return code
-    try:
-        monitor, slo_spec = _open_monitor(args, "campaign")
+        if args.resume:
+            store = _open_grid_store(args, spec, expand_campaign(spec), kind=label)
+        monitor, slo_spec = _open_monitor(args, label)
     except (KeyError, ValueError, OSError) as exc:
-        print(f"campaign: {_error_message(exc)}", file=sys.stderr)
+        print(f"{label}: {_error_message(exc)}", file=sys.stderr)
         return 2
     result = run_campaign(
         spec, executor=args.executor, max_workers=args.workers, store=store
     )
     print(result.render())
+    return result, store, monitor, slo_spec
+
+
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.sim import get_scenario, list_scenarios
+
+    if args.list_scenarios:
+        for name in list_scenarios():
+            print(f"{name:20s} {get_scenario(name).description}")
+        return 0
+    ran = _run_campaign_flags(args, "campaign", _axis_flag(args.faults))
+    if isinstance(ran, int):
+        return ran
+    result, store, monitor, slo_spec = ran
     if store is not None:
         print(f"campaign artifacts stored in {args.resume}")
     if args.out:
@@ -1182,13 +1177,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
     from repro.sim import (
-        CampaignSpec,
         get_fault_profile,
-        get_scenario,
         list_fault_profiles,
-        list_scenarios,
         render_robustness_table,
-        run_campaign,
         summarize_robustness,
     )
 
@@ -1196,68 +1187,31 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
         for name in list_fault_profiles():
             print(f"{name:20s} {get_fault_profile(name).description}")
         return 0
-    if args.scenarios == "all":
-        scenario_names = tuple(list_scenarios())
-    else:
-        scenario_names = tuple(s for s in args.scenarios.split(",") if s)
-    if args.faults == "all":
-        fault_names = tuple(f for f in list_fault_profiles() if f != "none")
-    else:
-        fault_names = tuple(f for f in args.faults.split(",") if f and f != "none")
-    controllers = tuple(c for c in args.controllers.split(",") if c)
-    try:
-        for name in scenario_names:
-            get_scenario(name)
-        # The clean baseline always runs: degradation is measured, not assumed.
-        spec = CampaignSpec(
-            scenarios=scenario_names,
-            controllers=controllers,
-            seeds=tuple(range(args.seeds)),
-            n_episodes=args.episodes,
-            faults=("none",) + fault_names,
-        )
-    except (KeyError, ValueError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"robustness: {message}", file=sys.stderr)
-        return 2
-    if not fault_names:
+    faults = _axis_flag(args.faults, list_fault_profiles)
+    faults = tuple(f for f in faults if f != "none")
+    if not faults:
         print("robustness: need at least one non-clean fault profile",
               file=sys.stderr)
         return 2
-    store = None
-    if args.resume:
-        store, code = _open_campaign_store(
-            args, spec, kind="robustness", label="robustness"
-        )
-        if store is None:
-            return code
-    try:
-        monitor, slo_spec = _open_monitor(args, "robustness")
-    except (KeyError, ValueError, OSError) as exc:
-        print(f"robustness: {_error_message(exc)}", file=sys.stderr)
-        return 2
-    result = run_campaign(
-        spec, executor=args.executor, max_workers=args.workers, store=store
-    )
-    print(result.render())
+    # The clean baseline always runs: degradation is measured, not assumed.
+    ran = _run_campaign_flags(args, "robustness", ("none",) + faults)
+    if isinstance(ran, int):
+        return ran
+    result, store, monitor, slo_spec = ran
     summary = summarize_robustness(result.rows)
     print("\nclean-vs-faulted degradation (faulted minus clean):")
     print(render_robustness_table(summary))
+    summary_dicts = [row.as_dict() for row in summary]
     if store is not None:
-        store.put_artifact(
-            "robustness_summary", [row.as_dict() for row in summary]
-        )
+        store.put_artifact("robustness_summary", summary_dicts)
         print(
             f"\nrobustness artifacts stored in {args.resume} "
             f"(render with `repro-hvac report {args.resume}`)"
         )
     if args.out:
-        payload = {
-            "rows": [r.as_dict() for r in result.rows],
-            "summary": [row.as_dict() for row in summary],
-        }
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump({"rows": [r.as_dict() for r in result.rows],
+                       "summary": summary_dicts}, fh, indent=2)
             fh.write("\n")
         print(f"robustness rows written to {args.out}")
     return _finish_monitor(args, "robustness", monitor, slo_spec)
@@ -1416,7 +1370,9 @@ def _open_monitor(args: argparse.Namespace, label: str):
 def _seal_monitor(sampler) -> None:
     """Detach the sampler and take the closing window, exactly once.
 
-    Idempotent: a command can seal early — ``loadtest`` does, right
+    The closing window is skipped when it is an idle stub (see
+    :meth:`~repro.obs.SnapshotSampler.seal`).  Idempotent: a command can
+    seal early — ``loadtest`` does, right
     after its micro-batched phase, so the per-request comparison twin
     (whose traffic deliberately stays in a private registry) never
     contributes a zero-throughput window to the verdict — and the
@@ -1427,7 +1383,7 @@ def _seal_monitor(sampler) -> None:
     tel = get_telemetry()
     if tel.sampler is sampler:
         tel.attach_sampler(None)
-        sampler.sample()  # the closing window, even if no tick crossed cadence
+        sampler.seal()
         sampler.close()
 
 
@@ -1628,26 +1584,14 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 
 def _workload_suite_spec(args: argparse.Namespace):
     """Build the SuiteSpec a ``workload replay`` invocation describes."""
-    from repro.sim import get_scenario, list_scenarios
-    from repro.workloads import SuiteSpec, get_workload, list_workloads
+    from repro.sim import list_scenarios
+    from repro.workloads import SuiteSpec, list_workloads
 
-    if args.scenarios == "all":
-        scenario_names = tuple(list_scenarios())
-    else:
-        scenario_names = tuple(s for s in args.scenarios.split(",") if s)
-    if args.workloads == "all":
-        workload_names = tuple(list_workloads())
-    else:
-        workload_names = tuple(w for w in args.workloads.split(",") if w)
-    for name in scenario_names:
-        get_scenario(name)
-    for name in workload_names:
-        get_workload(name)
     return SuiteSpec(
-        scenarios=scenario_names,
-        workloads=workload_names,
-        controllers=tuple(c for c in args.controllers.split(",") if c),
-        faults=tuple(f for f in args.faults.split(",") if f),
+        scenarios=_axis_flag(args.scenarios, list_scenarios),
+        workloads=_axis_flag(args.workloads, list_workloads),
+        controllers=_axis_flag(args.controllers),
+        faults=_axis_flag(args.faults),
         fleet=args.fleet,
         seed=args.seed,
         max_batch=args.max_batch,
@@ -1655,53 +1599,10 @@ def _workload_suite_spec(args: argparse.Namespace):
     )
 
 
-def _open_suite_store(args: argparse.Namespace, spec):
-    """Open/create a resumable workload-suite run directory.
-
-    Suite cells are deterministic functions of (fleet, seed, max_batch,
-    duration_s), so resuming with different values would mix
-    incomparable fingerprints — reject it like campaign resume rejects
-    changed seeds.
-    """
-    from repro.store import ExperimentStore
-
-    try:
-        store = ExperimentStore.open_or_create(
-            args.resume,
-            kind="workload-suite",
-            config=spec.as_config(),
-            command=args.argv,
-        )
-    except (OSError, ValueError) as exc:
-        print(f"workload: {exc}", file=sys.stderr)
-        return None, 2
-    stored_config = store.manifest.config
-    current_config = spec.as_config()
-    for key in ("fleet", "seed", "max_batch", "duration_s"):
-        if key in stored_config and stored_config[key] != current_config[key]:
-            print(
-                f"workload: --resume {args.resume} was created with "
-                f"{key}={stored_config[key]}, but this run requests "
-                f"{key}={current_config[key]}; use a fresh run directory",
-                file=sys.stderr,
-            )
-            return None, 2
-    planned = {
-        (s, c, f, w)
-        for s in current_config["scenarios"]
-        for c in current_config["controllers"]
-        for f in current_config["faults"]
-        for w in current_config["workloads"]
-    }
-    reused = len(store.completed_workload_cells() & planned)
-    if reused:
-        print(f"resuming {args.resume}: {reused} of {len(planned)} cells stored")
-    return store, 0
-
-
 def _cmd_workload(args: argparse.Namespace) -> int:
     from repro.workloads import (
         WorkloadTrace,
+        expand_suite,
         generate_trace,
         get_workload,
         list_workloads,
@@ -1729,10 +1630,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
             return 0
 
         if args.action == "generate":
-            if args.workloads == "all":
-                names = list_workloads()
-            else:
-                names = [w for w in args.workloads.split(",") if w]
+            names = list(_axis_flag(args.workloads, list_workloads))
             if args.out and len(names) != 1:
                 raise ValueError(
                     "--out writes a single trace file; pass exactly one "
@@ -1820,9 +1718,9 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         spec = _workload_suite_spec(args)
         store = None
         if args.resume:
-            store, code = _open_suite_store(args, spec)
-            if store is None:
-                return code
+            store = _open_grid_store(
+                args, spec, expand_suite(spec), kind="workload-suite"
+            )
         result = run_suite(spec, store=store)
         print(result.render())
         if store is not None:

@@ -188,6 +188,19 @@ def windowed_series(
     return series
 
 
+def _cumulative_counts(snapshot: dict) -> Dict[str, float]:
+    """Every cumulative count in a snapshot, by series key: counter values
+    and histogram observation counts (gauges move without events)."""
+    counts: Dict[str, float] = {}
+    for name, family in snapshot.get("metrics", {}).items():
+        if family["type"] == "gauge":
+            continue
+        field = "value" if family["type"] == "counter" else "count"
+        for child in family.get("series", []):
+            counts[series_key(name, child.get("labels", {}))] = child[field]
+    return counts
+
+
 class SnapshotSampler:
     """Periodic registry snapshots -> bounded ring + JSONL stream.
 
@@ -248,8 +261,29 @@ class SnapshotSampler:
     # ------------------------------------------------------------ capture
     def sample(self) -> dict:
         """Capture one sample now, regardless of the cadence."""
+        return self._capture(self._clock(), self.registry.snapshot())
+
+    def seal(self) -> Optional[dict]:
+        """Capture the closing window of a session, unless it is a stub.
+
+        A closing window shorter than ``interval_s`` in which no counter
+        advanced is the idle sliver between the last cadence sample and
+        the end of the session: its zero rates are no evidence, so it is
+        skipped (returns None).  A window of ``interval_s`` or longer is
+        always recorded, zero requests included — that is a stall — and
+        so is a session's first window.
+        """
         now = self._clock()
         snapshot = self.registry.snapshot()
+        if (
+            self._prev_snapshot is not None
+            and now - self._last_t < self.interval_s
+            and _cumulative_counts(snapshot) == _cumulative_counts(self._prev_snapshot)
+        ):
+            return None
+        return self._capture(now, snapshot)
+
+    def _capture(self, now: float, snapshot: dict) -> dict:
         dt = max(now - self._last_t, 0.0)
         record = {
             "kind": "sample",

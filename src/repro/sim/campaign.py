@@ -21,7 +21,6 @@ deltas that ``repro-hvac robustness`` reports.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -35,7 +34,8 @@ from repro.eval.reporting import format_table
 from repro.eval.vector_runner import PerEnvPolicy, VectorRunner
 from repro.faults.profiles import NO_FAULT, FaultProfile, get_fault_profile
 from repro.faults.wrappers import FaultyVectorHVACEnv
-from repro.sim.scenarios import Scenario, build_fleet, get_scenario
+from repro.sim.grid import GridResult, GridSpec, GridTelemetry, run_grid
+from repro.sim.scenarios import Scenario, build_fleet
 from repro.sim.vector_env import VectorHVACEnv
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store uses eval)
@@ -45,7 +45,7 @@ CONTROLLERS = ("thermostat", "pid", "random")
 
 
 @dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(GridSpec):
     """What to sweep: scenarios × faults × controllers × seeds.
 
     ``scenarios`` entries are registered names or :class:`Scenario`
@@ -60,40 +60,17 @@ class CampaignSpec:
     n_episodes: int = 1
     faults: Tuple[str, ...] = (NO_FAULT,)
 
+    KIND = "campaign"
+    CONTROLLERS = CONTROLLERS
+    RESUME_PINNED = ("seeds", "n_episodes")
+
     def __post_init__(self) -> None:
-        if not self.scenarios:
-            raise ValueError("campaign needs at least one scenario")
-        if not self.controllers:
-            raise ValueError("campaign needs at least one controller")
+        self._check_axes("scenarios", "faults", "controllers")
         if not self.seeds:
             raise ValueError("campaign needs at least one seed")
-        if not self.faults:
-            raise ValueError("campaign needs at least one fault profile")
-        for name in self.controllers:
-            if name not in CONTROLLERS:
-                raise ValueError(
-                    f"unknown controller {name!r}; choose from {CONTROLLERS}"
-                )
-        for name in self.faults:
-            get_fault_profile(name)  # raises KeyError for unknown profiles
         if self.n_episodes < 1:
             raise ValueError(f"n_episodes must be >= 1, got {self.n_episodes}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "controllers", tuple(self.controllers))
-        object.__setattr__(self, "scenarios", tuple(self.scenarios))
-        object.__setattr__(self, "faults", tuple(self.faults))
-
-    def as_config(self) -> dict:
-        """JSON-ready description (scenario names only) for run manifests."""
-        return {
-            "scenarios": [
-                s if isinstance(s, str) else s.name for s in self.scenarios
-            ],
-            "controllers": list(self.controllers),
-            "seeds": list(self.seeds),
-            "n_episodes": self.n_episodes,
-            "faults": list(self.faults),
-        }
 
 
 @dataclass(frozen=True)
@@ -150,27 +127,24 @@ class CampaignRow:
         )
 
 
-_METRIC_FIELDS = ("episode_return", "cost_usd", "energy_kwh", "violation_deg_hours")
+_METRIC_FIELDS = (
+    "episode_return", "cost_usd", "energy_kwh", "violation_deg_hours", "violation_rate"
+)
 
 
 def expand_campaign(spec: CampaignSpec) -> List[CampaignJob]:
     """Cartesian-expand a spec into independent (scenario, fault,
     controller) jobs."""
-    jobs = []
-    for entry in spec.scenarios:
-        scenario = get_scenario(entry) if isinstance(entry, str) else entry
-        for fault in spec.faults:
-            for controller in spec.controllers:
-                jobs.append(
-                    CampaignJob(
-                        scenario=scenario,
-                        controller=controller,
-                        seeds=spec.seeds,
-                        n_episodes=spec.n_episodes,
-                        fault=fault,
-                    )
-                )
-    return jobs
+    return [
+        CampaignJob(
+            scenario=scenario,
+            controller=controller,
+            seeds=spec.seeds,
+            n_episodes=spec.n_episodes,
+            fault=fault,
+        )
+        for scenario, fault, controller, _ in spec.cells()
+    ]
 
 
 def _make_policy(name: str, vec_env: VectorHVACEnv, seeds: Sequence[int]) -> PerEnvPolicy:
@@ -208,14 +182,8 @@ def run_campaign_job(job: CampaignJob) -> CampaignRow:
     policy = _make_policy(job.controller, vec_env, job.seeds)
     runner = VectorRunner(vec_env, policy)
     per_seed: List[EvaluationSummary] = runner.evaluate(n_episodes=job.n_episodes)
-    mean = {
-        f: float(np.mean([getattr(s, f) for s in per_seed])) for f in _METRIC_FIELDS
-    }
-    std = {
-        f: float(np.std([getattr(s, f) for s in per_seed])) for f in _METRIC_FIELDS
-    }
-    mean["violation_rate"] = float(np.mean([s.violation_rate for s in per_seed]))
-    std["violation_rate"] = float(np.std([s.violation_rate for s in per_seed]))
+    mean = {f: float(np.mean([getattr(s, f) for s in per_seed])) for f in _METRIC_FIELDS}
+    std = {f: float(np.std([getattr(s, f) for s in per_seed])) for f in _METRIC_FIELDS}
     return CampaignRow(
         scenario=job.scenario.name,
         controller=job.controller,
@@ -226,24 +194,8 @@ def run_campaign_job(job: CampaignJob) -> CampaignRow:
     )
 
 
-class CampaignResult:
+class CampaignResult(GridResult):
     """Ordered campaign rows with rendering and JSON export."""
-
-    def __init__(self, rows: List[CampaignRow]) -> None:
-        self.rows = list(rows)
-
-    def row(
-        self, scenario: str, controller: str, fault: str = NO_FAULT
-    ) -> CampaignRow:
-        """Look up one cell's row."""
-        for r in self.rows:
-            if (
-                r.scenario == scenario
-                and r.controller == controller
-                and r.fault == fault
-            ):
-                return r
-        raise KeyError(f"no row for ({scenario!r}, {controller!r}, {fault!r})")
 
     @property
     def has_faults(self) -> bool:
@@ -293,11 +245,13 @@ class CampaignResult:
             fh.write(self.to_json() + "\n")
 
 
-def _timed_job(job: CampaignJob) -> Tuple[CampaignRow, float]:
-    """Run one cell and measure its wall-clock (module-level: picklable)."""
-    started = time.perf_counter()
-    row = run_campaign_job(job)
-    return row, time.perf_counter() - started
+#: Series and spans a campaign reports under.
+CAMPAIGN_TELEMETRY = GridTelemetry(
+    run_span="campaign.run",
+    cells_total="campaign.cells_total",
+    cell_seconds="campaign.cell_seconds",
+    cell_span="campaign.cell",
+)
 
 
 def run_campaign(
@@ -309,91 +263,29 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute a campaign; returns rows in expansion order.
 
-    ``executor="process"`` fans the independent (scenario, controller)
-    cells out over a :class:`concurrent.futures.ProcessPoolExecutor`;
-    ``"serial"`` (default) runs them inline, which is usually fast enough
-    because each cell is already vectorized across its seeds.
+    ``executor="process"`` fans the independent cells out over a
+    :class:`concurrent.futures.ProcessPoolExecutor`; ``"serial"``
+    (default) runs them inline, which is usually fast enough because
+    each cell is already vectorized across its seeds.
 
     With a ``store`` (an :class:`~repro.store.ExperimentStore`), each
     cell's row is persisted as it completes and cells already present in
     the store are **not executed again** — their stored rows are loaded
     instead.  A killed sweep therefore resumes from its survivors on
     rerun.  The store does not validate that the rerun spec matches the
-    stored one beyond cell identity (scenario name, controller); the run
-    manifest records the original spec for auditing.
+    stored one beyond cell identity (scenario, controller, fault); the
+    run manifest records the original spec for auditing.
     """
-    jobs = expand_campaign(spec)
-    if executor not in ("serial", "process"):
-        raise ValueError(
-            f"unknown executor {executor!r}; choose 'serial' or 'process'"
-        )
-
-    from repro.obs import get_telemetry
-
-    tel = get_telemetry()
-    c_cells = tel.metric("campaign.cells_total")
-    h_cell_s = tel.metric("campaign.cell_seconds")
-
-    rows: Dict[int, CampaignRow] = {}
-    pending: List[int] = []
-    if store is not None:
-        for j, job in enumerate(jobs):
-            cell = store.get_cell(
-                job.scenario.name, job.controller, fault=job.fault.name
-            )
-            if cell is not None:
-                rows[j] = CampaignRow.from_dict(cell["row"])
-                if tel.enabled:
-                    c_cells.labels(status="cached").inc()
-            else:
-                pending.append(j)
-    else:
-        pending = list(range(len(jobs)))
-
-    def record(j: int, row: CampaignRow, elapsed: float) -> None:
-        rows[j] = row
-        if store is not None:
-            store.put_cell(row.as_dict(), elapsed_seconds=elapsed)
-        if tel.enabled:
-            job = jobs[j]
-            c_cells.labels(status="completed").inc()
-            h_cell_s.observe(elapsed)
-            # Process-pool cells are timed in the worker, so the span is
-            # reconstructed here from the measured elapsed wall-clock.
-            now = time.perf_counter()
-            tel.tracer.record(
-                "campaign.cell",
-                start=now - elapsed,
-                duration=elapsed,
-                cat="campaign",
-                scenario=job.scenario.name,
-                controller=job.controller,
-                fault=job.fault.name,
-            )
-            # Cell completion is the campaign's monitoring heartbeat:
-            # an attached SnapshotSampler captures here on its cadence.
-            tel.pulse()
-
-    with tel.span(
-        "campaign.run", cat="campaign", cells=len(jobs), pending=len(pending)
-    ):
-        if executor == "serial":
-            for j in pending:
-                row, elapsed = _timed_job(jobs[j])
-                record(j, row, elapsed)
-        elif pending:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                for j, (row, elapsed) in zip(
-                    pending, pool.map(_timed_job, [jobs[j] for j in pending])
-                ):
-                    record(j, row, elapsed)
-    if store is not None and tel.enabled:
-        # Join telemetry with results: the run directory carries the
-        # final metrics snapshot as artifacts/metrics.json.
-        store.put_artifact("metrics", tel.registry.snapshot())
-    return CampaignResult([rows[j] for j in range(len(jobs))])
+    rows = run_grid(
+        expand_campaign(spec),
+        run_campaign_job,
+        CampaignRow.from_dict,
+        names=CAMPAIGN_TELEMETRY,
+        store=store,
+        executor=executor,
+        max_workers=max_workers,
+    )
+    return CampaignResult(rows)
 
 
 # ------------------------------------------------------------- robustness

@@ -118,9 +118,13 @@ def render_campaign_report(store: ExperimentStore) -> str:
         total = sum(float(c["elapsed_seconds"]) for c in timed)
         lines.append(f"- **total cell wall-clock:** {total:.2f} s")
         slowest = max(timed, key=lambda c: float(c["elapsed_seconds"]))
+        cell = [slowest["scenario"], slowest["controller"]]
+        fault = slowest.get("fault", ExperimentStore.NO_FAULT)
+        if fault != ExperimentStore.NO_FAULT:
+            cell.append(fault)  # a faulted campaign has several such cells
         lines.append(
-            f"- **slowest cell:** {slowest['scenario']} / "
-            f"{slowest['controller']} ({float(slowest['elapsed_seconds']):.2f} s)"
+            f"- **slowest cell:** {' / '.join(cell)} "
+            f"({float(slowest['elapsed_seconds']):.2f} s)"
         )
     lines.append("")
     return "\n".join(lines)

@@ -2,7 +2,7 @@
 
 A *run directory* is the durable unit of experimentation: one directory
 holding a provenance manifest plus every artifact a run produces —
-campaign cell results, trainer checkpoints, metric logs.  Everything is
+grid cell results, trainer checkpoints, metric logs.  Everything is
 plain JSON written atomically (temp file + rename), so a killed process
 never leaves a half-written artifact and any run can be inspected with
 nothing but ``cat``.
@@ -11,9 +11,17 @@ Layout::
 
     RUN_DIR/
       manifest.json             # RunManifest: who/when/what/git SHA
-      cells/<scenario>__<controller>.json   # one campaign cell each
+      cells/<scenario>__<controller>__<fault>__<workload>.json
+                                # one campaign / workload-suite cell each
       checkpoints/<name>.json   # agent / trainer state dicts
       artifacts/<name>.json     # anything else (logger series, configs)
+
+A cell's identity is the ``(scenario, controller, fault, workload)``
+recorded *inside* its payload (absent ``fault``/``workload`` keys mean
+``"none"``); the file name is only where new cells are written.  Run
+directories from before the fault and workload axes existed, whose
+cells are named ``<scenario>__<controller>.json`` or
+``<scenario>__<controller>__<fault>.json``, therefore still resume.
 """
 
 from __future__ import annotations
@@ -32,6 +40,24 @@ MANIFEST_NAME = "manifest.json"
 _CELL_DIR = "cells"
 _CHECKPOINT_DIR = "checkpoints"
 _ARTIFACT_DIR = "artifacts"
+
+#: The value of an axis a cell does not sweep (clean fault, no workload);
+#: a literal so the store stays importable without the faults package.
+_NO_AXIS = "none"
+
+#: A cell's identity: (scenario, controller, fault, workload).
+CellKey = Tuple[str, str, str, str]
+_CELL_AXES = ("scenario", "controller", "fault", "workload")
+
+
+def payload_identity(payload: dict) -> CellKey:
+    """The cell identity a stored payload (or row dict) records."""
+    return (
+        str(payload["scenario"]),
+        str(payload["controller"]),
+        str(payload.get("fault", _NO_AXIS)),
+        str(payload.get("workload", _NO_AXIS)),
+    )
 
 
 def discover_git_sha(cwd: str | Path | None = None) -> str:
@@ -259,51 +285,24 @@ class ExperimentStore:
         """Sorted names of all stored checkpoints."""
         return self._list_dir(_CHECKPOINT_DIR)
 
-    # ------------------------------------------------------ campaign cells
-    # The clean (fault-free) axis value; kept as a local literal so the
-    # store stays importable without the faults package.
-    NO_FAULT = "none"
-    #: The no-workload axis value (campaign/robustness cells).
-    NO_WORKLOAD = "none"
+    # ---------------------------------------------------------- grid cells
+    NO_FAULT = _NO_AXIS
+    NO_WORKLOAD = _NO_AXIS
 
-    @classmethod
+    @staticmethod
     def cell_key(
-        cls,
         scenario: str,
         controller: str,
-        fault: str = NO_FAULT,
-        workload: str = NO_WORKLOAD,
+        fault: str = _NO_AXIS,
+        workload: str = _NO_AXIS,
     ) -> str:
-        """Stable file token for one (scenario, controller, fault,
-        workload) cell.
+        """The file token new cells are written under: all four axes,
+        slugged, ``"none"`` included."""
+        parts = (scenario, controller, fault, workload)
+        return "__".join(_slug(part) for part in parts)
 
-        Clean cells keep the historical two-part token and clean-but-
-        faulted cells the three-part one, so run directories written
-        before each axis existed resume unchanged.  Workload cells are
-        always four-part — the fault token is written even when clean,
-        so a three-part token is unambiguously a fault cell.
-        """
-        if workload != cls.NO_WORKLOAD:
-            return (
-                f"{_slug(scenario)}__{_slug(controller)}"
-                f"__{_slug(fault)}__{_slug(workload)}"
-            )
-        if fault == cls.NO_FAULT:
-            return f"{_slug(scenario)}__{_slug(controller)}"
-        return f"{_slug(scenario)}__{_slug(controller)}__{_slug(fault)}"
-
-    def _cell_path(
-        self,
-        scenario: str,
-        controller: str,
-        fault: str = NO_FAULT,
-        workload: str = NO_WORKLOAD,
-    ) -> Path:
-        return (
-            self.root
-            / _CELL_DIR
-            / f"{self.cell_key(scenario, controller, fault, workload)}.json"
-        )
+    def _cell_path(self, identity: CellKey) -> Path:
+        return self.root / _CELL_DIR / f"{self.cell_key(*identity)}.json"
 
     def put_cell(
         self,
@@ -311,42 +310,26 @@ class ExperimentStore:
         *,
         elapsed_seconds: Optional[float] = None,
     ) -> Path:
-        """Persist one completed campaign cell (a ``CampaignRow.as_dict()``).
+        """Persist one completed grid cell (a campaign or suite row dict).
 
-        Written as the cell finishes, so a killed campaign keeps every
+        Written as the cell finishes, so a killed sweep keeps every
         completed cell and a rerun resumes from the survivors.  The
-        fault axis comes from ``row_dict["fault"]`` (absent = clean).
+        identity comes from the row's ``scenario``/``controller``/
+        ``fault``/``workload`` (absent axes are ``"none"``).
         """
-        scenario = str(row_dict["scenario"])
-        controller = str(row_dict["controller"])
-        fault = str(row_dict.get("fault", self.NO_FAULT))
-        workload = str(row_dict.get("workload", self.NO_WORKLOAD))
-        payload = {
-            "scenario": scenario,
-            "controller": controller,
-            "fault": fault,
-            "workload": workload,
-            "row": row_dict,
-            "elapsed_seconds": elapsed_seconds,
-            "completed_at": _utc_now(),
-        }
-        path = self._cell_path(scenario, controller, fault, workload)
+        identity = payload_identity(row_dict)
+        path = self._cell_path(identity)
         if path.exists():
-            existing = json.loads(path.read_text())
-            if (
-                existing.get("scenario") != scenario
-                or existing.get("controller") != controller
-                or existing.get("fault", self.NO_FAULT) != fault
-                or existing.get("workload", self.NO_WORKLOAD) != workload
-            ):
+            existing = payload_identity(json.loads(path.read_text()))
+            if existing != identity:
                 raise ValueError(
-                    f"cell file {path.name} already holds "
-                    f"({existing.get('scenario')!r}, "
-                    f"{existing.get('controller')!r}, "
-                    f"{existing.get('fault', self.NO_FAULT)!r}, "
-                    f"{existing.get('workload', self.NO_WORKLOAD)!r}); rename "
-                    f"one of the slug-colliding axis values"
+                    f"cell file {path.name} already holds {existing!r}; "
+                    "rename one of the slug-colliding axis values"
                 )
+        payload = dict(zip(_CELL_AXES, identity))
+        payload.update(
+            row=row_dict, elapsed_seconds=elapsed_seconds, completed_at=_utc_now()
+        )
         path.parent.mkdir(parents=True, exist_ok=True)
         _atomic_write_json(path, payload)
         return path
@@ -355,68 +338,30 @@ class ExperimentStore:
         self,
         scenario: str,
         controller: str,
-        fault: str = NO_FAULT,
-        workload: str = NO_WORKLOAD,
+        fault: str = _NO_AXIS,
+        workload: str = _NO_AXIS,
     ) -> Optional[dict]:
         """One cell's stored payload, or None when not yet completed.
 
-        The payload's own names must match the request exactly — two
-        names that slug to the same file token (``"heat wave"`` vs
-        ``"heat-wave"``) must not answer for each other.
+        Cells are found by the identity their payload records, never by
+        file name, so two names that slug to the same file token
+        (``"heat wave"`` vs ``"heat-wave"``) cannot answer for each
+        other and cells of older run directories are still found.
         """
-        path = self._cell_path(scenario, controller, fault, workload)
-        if not path.exists():
-            return None
-        payload = json.loads(path.read_text())
-        if (
-            payload.get("scenario") != scenario
-            or payload.get("controller") != controller
-            or payload.get("fault", self.NO_FAULT) != fault
-            or payload.get("workload", self.NO_WORKLOAD) != workload
-        ):
-            return None
-        return payload
+        return self._cells().get((scenario, controller, fault, workload))
 
-    def completed_cells(self) -> Set[Tuple[str, str, str]]:
-        """The (scenario, controller, fault) triples with stored results
-        (clean cells report fault ``"none"``).
+    def completed(self) -> Set[CellKey]:
+        """The (scenario, controller, fault, workload) identities of all
+        stored cells."""
+        return set(self._cells())
 
-        Workload-suite cells carry a fourth axis and are excluded here;
-        see :meth:`completed_workload_cells`.
-        """
-        return {
-            (
-                cell["scenario"],
-                cell["controller"],
-                cell.get("fault", self.NO_FAULT),
-            )
-            for cell in self.iter_cells()
-            if cell.get("workload", self.NO_WORKLOAD) == self.NO_WORKLOAD
-        }
-
-    def completed_workload_cells(self) -> Set[Tuple[str, str, str, str]]:
-        """The (scenario, controller, fault, workload) quadruples of
-        stored workload-suite cells."""
-        return {
-            (
-                cell["scenario"],
-                cell["controller"],
-                cell.get("fault", self.NO_FAULT),
-                cell["workload"],
-            )
-            for cell in self.iter_cells()
-            if cell.get("workload", self.NO_WORKLOAD) != self.NO_WORKLOAD
-        }
+    def _cells(self) -> Dict[CellKey, dict]:
+        return {payload_identity(cell): cell for cell in self.iter_cells()}
 
     def iter_cells(self) -> List[dict]:
         """All stored cell payloads, sorted by file name."""
-        cell_dir = self.root / _CELL_DIR
-        if not cell_dir.is_dir():
-            return []
-        return [
-            json.loads(path.read_text())
-            for path in sorted(cell_dir.glob("*.json"))
-        ]
+        paths = sorted((self.root / _CELL_DIR).glob("*.json"))
+        return [json.loads(path.read_text()) for path in paths]
 
     def __repr__(self) -> str:
         return (

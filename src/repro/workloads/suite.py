@@ -8,8 +8,8 @@ trace is generated (or loaded) per workload for the suite's fleet size
 and seed; every cell replays that trace through a fresh fleet gateway
 (``deterministic`` micro-batching) and persists a fingerprinted summary.
 
-Cells reuse the campaign resume idiom: with an
-:class:`~repro.store.ExperimentStore` attached, completed cells are
+Suites run on the campaign's grid engine (:mod:`repro.sim.grid`): with
+an :class:`~repro.store.ExperimentStore` attached, completed cells are
 loaded instead of re-executed, traces are recorded as run artifacts with
 provenance, and a killed suite restarts where it died (``repro-hvac
 workload replay --resume RUN_DIR``).  Because every replay is
@@ -19,13 +19,13 @@ uninterrupted run's — the property the acceptance tests pin.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.eval.reporting import format_table
 from repro.faults.profiles import NO_FAULT, FaultProfile, get_fault_profile
 from repro.faults.wrappers import FaultyVectorHVACEnv
+from repro.sim.grid import GridResult, GridSpec, GridTelemetry, run_grid
 from repro.sim.scenarios import Scenario, build_fleet, get_scenario
 from repro.sim.vector_env import VectorHVACEnv
 from repro.workloads.generators import generate_trace
@@ -48,7 +48,7 @@ SUITE_CONTROLLERS = ("thermostat", "pid", "random", "dqn")
 
 
 @dataclass(frozen=True)
-class SuiteSpec:
+class SuiteSpec(GridSpec):
     """What to replay: scenarios × faults × controllers × workloads.
 
     ``fleet`` and ``seed`` fix both the simulated world (env build
@@ -65,30 +65,17 @@ class SuiteSpec:
     max_batch: int = 64
     duration_s: Optional[float] = None
 
+    KIND = "suite"
+    CONTROLLERS = SUITE_CONTROLLERS
+    RESUME_PINNED = ("fleet", "seed", "max_batch", "duration_s")
+
     def __post_init__(self) -> None:
-        if not self.scenarios:
-            raise ValueError("suite needs at least one scenario")
-        if not self.workloads:
-            raise ValueError("suite needs at least one workload")
-        if not self.controllers:
-            raise ValueError("suite needs at least one controller")
-        if not self.faults:
-            raise ValueError("suite needs at least one fault profile")
-        for name in self.controllers:
-            if name not in SUITE_CONTROLLERS:
-                raise ValueError(
-                    f"unknown controller {name!r}; choose from {SUITE_CONTROLLERS}"
-                )
-        for name in self.faults:
-            get_fault_profile(name)  # raises KeyError for unknown profiles
+        self._check_axes("scenarios", "workloads", "faults", "controllers")
+        self.workload_specs()  # raises KeyError for unknown presets
         if self.fleet < 1:
             raise ValueError(f"fleet must be >= 1, got {self.fleet}")
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        object.__setattr__(self, "scenarios", tuple(self.scenarios))
-        object.__setattr__(self, "workloads", tuple(self.workloads))
-        object.__setattr__(self, "controllers", tuple(self.controllers))
-        object.__setattr__(self, "faults", tuple(self.faults))
 
     def workload_specs(self) -> List[WorkloadSpec]:
         """The resolved workload specs (names looked up in the registry),
@@ -100,23 +87,6 @@ class SuiteSpec:
                 spec = spec.with_overrides(duration_s=float(self.duration_s))
             specs.append(spec)
         return specs
-
-    def as_config(self) -> dict:
-        """JSON-ready description (names only) for run manifests."""
-        return {
-            "scenarios": [
-                s if isinstance(s, str) else s.name for s in self.scenarios
-            ],
-            "workloads": [
-                w if isinstance(w, str) else w.name for w in self.workloads
-            ],
-            "controllers": list(self.controllers),
-            "faults": list(self.faults),
-            "fleet": self.fleet,
-            "seed": self.seed,
-            "max_batch": self.max_batch,
-            "duration_s": self.duration_s,
-        }
 
 
 @dataclass(frozen=True)
@@ -203,24 +173,20 @@ class SuiteRow:
 
 def expand_suite(spec: SuiteSpec) -> List[SuiteJob]:
     """Cartesian-expand a spec into independent suite cells."""
-    jobs = []
-    for entry in spec.scenarios:
-        scenario = get_scenario(entry) if isinstance(entry, str) else entry
-        for fault in spec.faults:
-            for controller in spec.controllers:
-                for workload in spec.workload_specs():
-                    jobs.append(
-                        SuiteJob(
-                            scenario=scenario,
-                            controller=controller,
-                            fault=fault,
-                            workload=workload,
-                            fleet=spec.fleet,
-                            seed=spec.seed,
-                            max_batch=spec.max_batch,
-                        )
-                    )
-    return jobs
+    return [
+        SuiteJob(
+            scenario=scenario,
+            controller=controller,
+            fault=fault,
+            workload=workload,
+            fleet=spec.fleet,
+            seed=spec.seed,
+            max_batch=spec.max_batch,
+        )
+        for scenario, fault, controller, workload in spec.cells(
+            spec.workload_specs()
+        )
+    ]
 
 
 def build_suite_gateway(job: SuiteJob):
@@ -238,14 +204,14 @@ def build_suite_gateway(job: SuiteJob):
 
     seeds = range(job.seed, job.seed + job.fleet)
     vec_env = VectorHVACEnv(build_fleet(job.scenario, seeds), autoreset=True)
+    # The first building (seed ``job.seed``) sizes the DQN, read before
+    # any fault wrapping.
+    first = vec_env.envs[0]
     if not job.fault.is_clean:
         vec_env = FaultyVectorHVACEnv(vec_env, job.fault, seeds=seeds)
     registry = default_registry()
     if job.controller == "dqn":
-        probe_env = job.scenario.build(job.seed)
-        policy = DQNAgent(
-            probe_env.obs_dim, probe_env.action_space, rng=job.seed
-        )
+        policy = DQNAgent(first.obs_dim, first.action_space, rng=job.seed)
         route = registry.publish("dqn", policy, source="suite-seed-init").name
     else:
         route = f"baseline:{job.controller}"
@@ -299,31 +265,8 @@ def run_suite_job(job: SuiteJob, trace: WorkloadTrace) -> SuiteRow:
     return SuiteRow.from_replay(job, result)
 
 
-class SuiteResult:
+class SuiteResult(GridResult):
     """Ordered suite rows with rendering."""
-
-    def __init__(self, rows: List[SuiteRow]) -> None:
-        self.rows = list(rows)
-
-    def row(
-        self,
-        scenario: str,
-        controller: str,
-        fault: str,
-        workload: str,
-    ) -> SuiteRow:
-        """Look up one cell's row."""
-        for r in self.rows:
-            if (
-                r.scenario == scenario
-                and r.controller == controller
-                and r.fault == fault
-                and r.workload == workload
-            ):
-                return r
-        raise KeyError(
-            f"no row for ({scenario!r}, {controller!r}, {fault!r}, {workload!r})"
-        )
 
     def render(self) -> str:
         """Aligned-text table, one line per cell."""
@@ -394,6 +337,12 @@ def suite_traces(
     return traces
 
 
+#: Series and spans a workload suite reports under.
+SUITE_TELEMETRY = GridTelemetry(
+    run_span="workload.suite", cells_total="workload.cells_total"
+)
+
+
 def run_suite(
     spec: SuiteSpec,
     *,
@@ -401,50 +350,18 @@ def run_suite(
 ) -> SuiteResult:
     """Execute a workload suite; returns rows in expansion order.
 
-    With a ``store``, each cell's row persists as it completes (under
-    the four-axis cell key) and already-stored cells load instead of
-    re-executing, so an interrupted suite resumes from its survivors —
-    with identical fingerprints, since every replay is deterministic.
+    With a ``store``, each cell's row persists as it completes and
+    already-stored cells load instead of re-executing, so an interrupted
+    suite resumes from its survivors — with identical fingerprints,
+    since every replay is deterministic.
     """
-    from repro.obs import get_telemetry
-
-    tel = get_telemetry()
-    c_cells = tel.metric("workload.cells_total")
     jobs = expand_suite(spec)
     traces = suite_traces(spec, store=store)
-
-    rows: Dict[int, SuiteRow] = {}
-    pending: List[int] = []
-    if store is not None:
-        for j, job in enumerate(jobs):
-            cell = store.get_cell(
-                job.scenario.name,
-                job.controller,
-                fault=job.fault.name,
-                workload=job.workload.name,
-            )
-            if cell is not None:
-                rows[j] = SuiteRow.from_dict(cell["row"])
-                if tel.enabled:
-                    c_cells.labels(status="cached").inc()
-            else:
-                pending.append(j)
-    else:
-        pending = list(range(len(jobs)))
-
-    with tel.span(
-        "workload.suite", cat="workload", cells=len(jobs), pending=len(pending)
-    ):
-        for j in pending:
-            job = jobs[j]
-            started = time.perf_counter()
-            row = run_suite_job(job, traces[job.workload.name])
-            elapsed = time.perf_counter() - started
-            rows[j] = row
-            if store is not None:
-                store.put_cell(row.as_dict(), elapsed_seconds=elapsed)
-            if tel.enabled:
-                c_cells.labels(status="completed").inc()
-    if store is not None and tel.enabled:
-        store.put_artifact("metrics", tel.registry.snapshot())
-    return SuiteResult([rows[j] for j in range(len(jobs))])
+    rows = run_grid(
+        jobs,
+        lambda job: run_suite_job(job, traces[job.workload.name]),
+        SuiteRow.from_dict,
+        names=SUITE_TELEMETRY,
+        store=store,
+    )
+    return SuiteResult(rows)

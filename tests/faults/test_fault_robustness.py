@@ -154,7 +154,7 @@ class TestRobustnessStoreResume:
             scenarios=(_FAST,), controllers=("thermostat",), seeds=(0,)
         )
         run_campaign(partial, store=store)
-        assert store.completed_cells() == {("rob-fast", "thermostat", "none")}
+        assert store.completed() == {("rob-fast", "thermostat", "none", "none")}
 
         resumed = run_campaign(spec, store=store)
         for row_r, row_u in zip(resumed.rows, uninterrupted.rows):
@@ -201,7 +201,7 @@ class TestRobustnessStoreResume:
 
         cell = store.get_cell("rob-fast", "thermostat")
         assert cell is not None
-        assert store.completed_cells() == {("rob-fast", "thermostat", "none")}
+        assert store.completed() == {("rob-fast", "thermostat", "none", "none")}
 
 
 class TestRobustnessReport:

@@ -290,6 +290,57 @@ class TestSnapshotSampler:
             SnapshotSampler(MetricsRegistry(), interval_s=0.0)
 
 
+class TestSeal:
+    """The closing window of a monitored session (``SnapshotSampler.seal``)."""
+
+    def _sampled(self, interval_s=0.01):
+        # One cadence sample after 50 requests; the session then ends.
+        reg = MetricsRegistry()
+        reg.counter("requests_total")
+        reg.histogram("latency_seconds")
+        clock = FakeClock()
+        sampler = SnapshotSampler(reg, interval_s=interval_s, clock=clock)
+        reg.get("requests_total").inc(50)
+        clock.t += interval_s
+        assert sampler.maybe_sample() is not None
+        return reg, clock, sampler
+
+    def test_skips_an_idle_stub_window(self):
+        # A sub-millisecond window with zero requests right after the last
+        # cadence sample would read as a zero-throughput breach.
+        reg, clock, sampler = self._sampled()
+        clock.t += 0.0005
+        assert sampler.seal() is None
+        assert len(sampler.samples) == 1
+
+    @pytest.mark.parametrize("series", ["requests_total", "latency_seconds"])
+    def test_keeps_a_short_window_in_which_a_count_advanced(self, series):
+        reg, clock, sampler = self._sampled()
+        if series == "requests_total":
+            reg.get(series).inc(2)
+        else:
+            reg.get(series).observe(0.001)
+        clock.t += 0.0005
+        record = sampler.seal()
+        assert record is not None
+        assert len(sampler.samples) == 2
+
+    def test_keeps_a_full_idle_window_as_a_stall(self):
+        reg, clock, sampler = self._sampled()
+        clock.t += 0.01
+        record = sampler.seal()
+        assert record is not None
+        assert record["series"]["requests_total"]["rate"] == 0.0
+
+    def test_always_records_the_first_window(self):
+        reg = MetricsRegistry()
+        reg.counter("requests_total")
+        clock = FakeClock()
+        sampler = SnapshotSampler(reg, interval_s=1.0, clock=clock)
+        clock.t += 0.001
+        assert sampler.seal() is not None
+
+
 class TestCheckSamples:
     def test_empty_stream_flagged(self):
         assert check_samples([]) == ["empty sample stream"]

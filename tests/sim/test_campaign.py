@@ -42,6 +42,20 @@ class TestExpansion:
         with pytest.raises(ValueError):
             CampaignSpec(scenarios=(_FAST,), seeds=())
 
+    @pytest.mark.parametrize(
+        "axes, repeated",
+        [
+            ({"scenarios": ("baseline-tou", "baseline-tou")}, "baseline-tou"),
+            ({"scenarios": (_FAST, _FAST_B, _FAST)}, "fast-a"),
+            ({"controllers": ("pid", "pid")}, "pid"),
+            ({"faults": ("none", "stuck-damper", "stuck-damper")}, "stuck-damper"),
+        ],
+    )
+    def test_repeated_axis_value_rejected(self, axes, repeated):
+        # A repeated value would expand to two cells with one identity.
+        with pytest.raises(ValueError, match=f"'{repeated}' more than once"):
+            CampaignSpec(**{"scenarios": (_FAST,), **axes})
+
 
 class TestExecution:
     def test_serial_campaign(self, tmp_path):

@@ -42,11 +42,11 @@ class TestCampaignResume:
         store = ExperimentStore.create(tmp_path / "run", kind="campaign")
         result = run_campaign(spec, store=store)
         assert len(result.rows) == 4
-        assert store.completed_cells() == {
-            ("resume-a", "thermostat", "none"),
-            ("resume-a", "random", "none"),
-            ("resume-b", "thermostat", "none"),
-            ("resume-b", "random", "none"),
+        assert store.completed() == {
+            ("resume-a", "thermostat", "none", "none"),
+            ("resume-a", "random", "none", "none"),
+            ("resume-b", "thermostat", "none", "none"),
+            ("resume-b", "random", "none", "none"),
         }
         cell = store.get_cell("resume-a", "thermostat")
         assert cell["elapsed_seconds"] > 0.0

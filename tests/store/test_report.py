@@ -61,7 +61,16 @@ class TestRenderCampaignReport:
         text = render_campaign_report(campaign_store)
         assert "completed cells:** 2" in text
         assert "7.00 s" in text
-        assert "slowest cell:** heat-wave / random" in text
+        assert "slowest cell:** heat-wave / random (5.00 s)" in text
+
+    def test_slowest_cell_names_its_fault(self, campaign_store):
+        campaign_store.put_cell(_cell_row("heat-wave", "pid"), elapsed_seconds=2.0)
+        campaign_store.put_cell(
+            dict(_cell_row("heat-wave", "pid"), fault="stuck-damper"),
+            elapsed_seconds=5.0,
+        )
+        text = render_campaign_report(campaign_store)
+        assert "slowest cell:** heat-wave / pid / stuck-damper (5.00 s)" in text
 
     def test_empty_run_renders_placeholder(self, campaign_store):
         text = render_campaign_report(campaign_store)

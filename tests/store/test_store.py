@@ -87,9 +87,9 @@ class TestCells:
         store = ExperimentStore.create(tmp_path / "run", kind="campaign")
         store.put_cell(self._row("a", "pid"))
         store.put_cell(self._row("b", "random"))
-        assert store.completed_cells() == {
-            ("a", "pid", "none"),
-            ("b", "random", "none"),
+        assert store.completed() == {
+            ("a", "pid", "none", "none"),
+            ("b", "random", "none", "none"),
         }
         assert len(store.iter_cells()) == 2
 
@@ -113,17 +113,71 @@ class TestCells:
         )
         # A faulted cell never answers for the clean one or vice versa.
         assert store.get_cell("heat-wave", "pid", fault="noisy-sensors") is None
-        assert store.completed_cells() == {
-            ("heat-wave", "pid", "none"),
-            ("heat-wave", "pid", "stuck-damper"),
+        assert store.completed() == {
+            ("heat-wave", "pid", "none", "none"),
+            ("heat-wave", "pid", "stuck-damper", "none"),
         }
 
-    def test_clean_cell_key_keeps_legacy_two_part_token(self):
-        # Pre-fault run directories must keep resuming: clean cells use
-        # the historical token, faulted ones append the fault slug.
-        assert ExperimentStore.cell_key("a", "b") == "a__b"
-        assert ExperimentStore.cell_key("a", "b", "none") == "a__b"
-        assert ExperimentStore.cell_key("a", "b", "stuck damper") == "a__b__stuck-damper"
+    def test_cell_key_is_one_four_part_format(self):
+        # Every cell is written under all four axes, "none" included.
+        assert ExperimentStore.cell_key("a", "b") == "a__b__none__none"
+        assert (
+            ExperimentStore.cell_key("a", "b", "stuck damper")
+            == "a__b__stuck-damper__none"
+        )
+        assert (
+            ExperimentStore.cell_key("a", "b", workload="w") == "a__b__none__w"
+        )
+
+    def test_legacy_run_dir_resumes_without_rerunning(self, tmp_path, monkeypatch):
+        """Run directories written under the older two-part
+        (``a__b.json``, no fault/workload keys) and three-part
+        (``a__b__<fault>.json``) names resume: identity is read from the
+        payload, so no stored cell executes again."""
+        from repro.sim import CampaignRow, CampaignSpec, get_scenario, run_campaign
+        from repro.sim import campaign as campaign_module
+
+        scenario = get_scenario("baseline-tou").with_overrides(name="legacy-a")
+        store = ExperimentStore.create(tmp_path / "run", kind="robustness")
+        clean = self._row("legacy-a", "thermostat")
+        faulted = dict(
+            self._row("legacy-a", "thermostat"),
+            fault="stuck-damper",
+            mean={"cost_usd": 9.0},
+        )
+        cells = tmp_path / "run" / "cells"
+        cells.mkdir()
+        (cells / "legacy-a__thermostat.json").write_text(
+            json.dumps(
+                {"scenario": "legacy-a", "controller": "thermostat", "row": clean}
+            )
+        )
+        (cells / "legacy-a__thermostat__stuck-damper.json").write_text(
+            json.dumps(
+                {
+                    "scenario": "legacy-a",
+                    "controller": "thermostat",
+                    "fault": "stuck-damper",
+                    "row": faulted,
+                }
+            )
+        )
+        calls = []
+        monkeypatch.setattr(
+            campaign_module, "run_campaign_job", lambda job: calls.append(job)
+        )
+        spec = CampaignSpec(
+            scenarios=(scenario,),
+            controllers=("thermostat",),
+            seeds=(0, 1),
+            faults=("none", "stuck-damper"),
+        )
+        result = run_campaign(spec, store=store)
+        assert calls == []
+        assert [r.as_dict() for r in result.rows] == [
+            CampaignRow.from_dict(clean).as_dict(),
+            CampaignRow.from_dict(faulted).as_dict(),
+        ]
 
     def test_slug_colliding_names_do_not_answer_for_each_other(self, tmp_path):
         store = ExperimentStore.create(tmp_path / "run", kind="campaign")
@@ -131,6 +185,29 @@ class TestCells:
         # "heat wave" slugs to the same file token but is a different name.
         assert store.get_cell("heat wave", "pid") is None
         assert store.get_cell("heat-wave", "pid") is not None
+
+    def test_every_completed_cell_is_found_by_get_cell(self, tmp_path):
+        store = ExperimentStore.create(tmp_path / "run", kind="campaign")
+        cells = tmp_path / "run" / "cells"
+        cells.mkdir()
+        # A legacy two-part file holds "heat-wave"; the four-part file its
+        # slug would map to holds the colliding name "heat wave".
+        (cells / "heat-wave__pid.json").write_text(
+            json.dumps(
+                {
+                    "scenario": "heat-wave",
+                    "controller": "pid",
+                    "row": self._row("heat-wave", "pid"),
+                }
+            )
+        )
+        store.put_cell(self._row("heat wave", "pid"))
+        assert store.completed() == {
+            ("heat-wave", "pid", "none", "none"),
+            ("heat wave", "pid", "none", "none"),
+        }
+        for key in store.completed():
+            assert store.get_cell(*key)["row"]["scenario"] == key[0]
 
     def test_put_cell_refuses_slug_collision_overwrite(self, tmp_path):
         store = ExperimentStore.create(tmp_path / "run", kind="campaign")
@@ -152,19 +229,7 @@ class TestCells:
         assert store.get_cell("heat-wave", "pid") is None
         assert store.get_cell("heat-wave", "pid", workload="bursty-onoff") is None
 
-    def test_workload_cell_key_is_always_four_part(self):
-        # Even clean workload cells write the fault token, so a
-        # three-part token stays unambiguously a fault cell.
-        assert (
-            ExperimentStore.cell_key("a", "b", workload="w")
-            == "a__b__none__w"
-        )
-        assert (
-            ExperimentStore.cell_key("a", "b", "stuck damper", "w")
-            == "a__b__stuck-damper__w"
-        )
-
-    def test_workload_cells_excluded_from_campaign_listing(self, tmp_path):
+    def test_completed_lists_every_axis(self, tmp_path):
         store = ExperimentStore.create(tmp_path / "run", kind="workload-suite")
         store.put_cell(self._row("a", "pid"))
         store.put_cell(
@@ -174,9 +239,9 @@ class TestCells:
                 workload="steady-poisson",
             )
         )
-        assert store.completed_cells() == {("a", "pid", "none")}
-        assert store.completed_workload_cells() == {
-            ("a", "pid", "stuck-damper", "steady-poisson")
+        assert store.completed() == {
+            ("a", "pid", "none", "none"),
+            ("a", "pid", "stuck-damper", "steady-poisson"),
         }
 
     def test_update_config_rewrites_manifest(self, tmp_path):

@@ -119,6 +119,11 @@ class TestCampaignCommand:
         assert code == 2
         assert "quantum" in capsys.readouterr().err
 
+    def test_repeated_controller_exits_with_message(self, capsys):
+        code = main(["campaign", "--controllers", "pid,pid"])
+        assert code == 2
+        assert "'pid' more than once" in capsys.readouterr().err
+
     def test_faults_axis_on_campaign(self, capsys):
         code = main(
             [

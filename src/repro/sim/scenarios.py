@@ -138,8 +138,9 @@ class Scenario:
 
     def build(self, seed: int = 0) -> HVACEnv:
         """Instantiate the scenario as a scalar env, deterministic in ``seed``."""
+        climate = _CLIMATES[self.climate]()
         weather = generate_weather(
-            _CLIMATES[self.climate](),
+            climate,
             start_day_of_year=self.start_day_of_year,
             n_days=self.weather_days,
             rng=seed + 1,
@@ -150,6 +151,7 @@ class Scenario:
                 start_day=self.heat_wave_start_day,
                 n_days=self.heat_wave_days,
                 peak_amplitude_c=self.heat_wave_amplitude_c,
+                latitude_deg=climate.latitude_deg,
             )
         return HVACEnv(
             _BUILDINGS[self.building](),

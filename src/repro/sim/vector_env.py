@@ -135,6 +135,22 @@ class _EnvView:
         return getattr(self._env, name)
 
 
+def _price_row(tariff, days: List[int], hours: List[float]) -> np.ndarray:
+    """A tariff's $/kWh at every ``(day, hour)`` sample of a trace clock."""
+    return np.array(
+        [tariff.price_per_kwh(d, h) for d, h in zip(days, hours)], dtype=float
+    )
+
+
+def _schedule_rows(
+    sched, days: List[int], hours: List[float]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A schedule's occupancy flags and gains (W/m²) at every sample."""
+    occupied = [sched.occupied(d, h) for d, h in zip(days, hours)]
+    gains = [sched.gains_w_per_m2(d, h) for d, h in zip(days, hours)]
+    return np.array(occupied, dtype=bool), np.array(gains, dtype=float)
+
+
 class VectorHVACEnv:
     """Batched ``reset``/``step`` over a fleet of scalar HVAC environments.
 
@@ -235,9 +251,13 @@ class VectorHVACEnv:
     def _build_time_tables(self) -> None:
         """Precompute every time-indexed input as ``(n_envs, T)`` tables.
 
-        Schedule and tariff lookups are memoized on their (frozen,
-        value-hashable) config objects, so fleets of similar buildings pay
-        the Python cost once per unique (component, time) pair.
+        A tariff's price row and a schedule's occupancy/gains rows depend
+        only on the component and the trace clock ``(start_day, T, dt)``,
+        so each distinct row is built once per construction — keyed on the
+        (frozen, value-hashable) component and its clock — and copied to
+        every env that uses it.  Fleets of similar buildings thus pay the
+        per-sample Python cost once per shared clock.  An unhashable
+        custom component gets its rows built for its own env.
         """
         n = self.n_envs
         t_max = int(self._trace_len.max())
@@ -253,8 +273,18 @@ class VectorHVACEnv:
         self._day = np.zeros((n, t_max), dtype=int)
         self._hour = np.zeros((n, t_max))
 
-        sched_cache: Dict[tuple, Tuple[bool, float]] = {}
-        price_cache: Dict[tuple, float] = {}
+        rows: Dict[tuple, object] = {}
+
+        def component_rows(component, sample_rows, clock, days, hours):
+            try:
+                return rows[(component, clock)]
+            except TypeError:  # unhashable custom component: no memoization
+                return sample_rows(component, days.tolist(), hours.tolist())
+            except KeyError:
+                built = sample_rows(component, days.tolist(), hours.tolist())
+                rows[(component, clock)] = built
+                return built
+
         for k, env in enumerate(self.envs):
             t = len(env.weather)
             dt = env.weather.dt_seconds
@@ -280,39 +310,18 @@ class VectorHVACEnv:
                 self._hour[k, t:] = hours[-1]
                 self._day[k, t:] = days[-1]
 
-            tariff = env.tariff
-            for i in range(t):
-                try:
-                    key = (tariff, int(days[i]), float(hours[i]))
-                    price = price_cache[key]
-                except KeyError:
-                    price = tariff.price_per_kwh(int(days[i]), float(hours[i]))
-                    price_cache[key] = price
-                except TypeError:  # unhashable custom tariff: no memoization
-                    price = tariff.price_per_kwh(int(days[i]), float(hours[i]))
-                self._price[k, i] = price
-
+            clock = (env.weather.start_day_of_year, t, dt)
+            self._price[k, :t] = component_rows(
+                env.tariff, _price_row, clock, days, hours
+            )
             for j, (zone, sched) in enumerate(
                 zip(env.building.zones, env.building.schedules)
             ):
-                area = zone.floor_area_m2
-                for i in range(t):
-                    try:
-                        key = (sched, int(days[i]), float(hours[i]))
-                        entry = sched_cache[key]
-                    except KeyError:
-                        entry = (
-                            sched.occupied(int(days[i]), float(hours[i])),
-                            sched.gains_w_per_m2(int(days[i]), float(hours[i])),
-                        )
-                        sched_cache[key] = entry
-                    except TypeError:  # unhashable custom schedule
-                        entry = (
-                            sched.occupied(int(days[i]), float(hours[i])),
-                            sched.gains_w_per_m2(int(days[i]), float(hours[i])),
-                        )
-                    self._occupied[k, i, j] = entry[0]
-                    self._gains[k, i, j] = entry[1] * area
+                occupied, gains = component_rows(
+                    sched, _schedule_rows, clock, days, hours
+                )
+                self._occupied[k, :t, j] = occupied
+                self._gains[k, :t, j] = gains * zone.floor_area_m2
 
     def _build_obs_groups(self) -> None:
         signatures: Dict[Tuple[int, int], List[int]] = {}

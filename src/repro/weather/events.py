@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.utils.validation import check_positive
 from repro.weather.series import SECONDS_PER_DAY, WeatherSeries
-from repro.weather.solar import clear_sky_ghi, solar_elevation_deg
+from repro.weather.solar import clear_sky_row
 
 
 def inject_heat_wave(
@@ -42,9 +42,13 @@ def inject_heat_wave(
         cloudless).  Boosted samples are capped at the clear-sky GHI for
         the sun's position at ``latitude_deg`` — the physically plausible
         ceiling — and the cap never pushes a sample below its unboosted
-        value.
+        value.  The ceiling is read from the memoized clear-sky row of the
+        series' clock (:func:`~repro.weather.solar.clear_sky_row`), the
+        same row :func:`~repro.weather.synthetic.generate_weather` built
+        the trace from when the latitudes agree.
     latitude_deg:
-        Site latitude used for the clear-sky cap (matches the synthetic
+        Site latitude used for the clear-sky cap; pass the generating
+        climate's ``latitude_deg`` (the default is the synthetic
         generator's default site).
     """
     check_positive("n_days", n_days)
@@ -69,16 +73,9 @@ def inject_heat_wave(
     anomaly = peak_amplitude_c * np.sin(phase)
     temp[start:stop] += anomaly
     boosted = ghi[start:stop] * (1.0 + (ghi_boost - 1.0) * np.sin(phase))
-    ceiling = np.array(
-        [
-            clear_sky_ghi(
-                solar_elevation_deg(
-                    latitude_deg, series.day_of_year(i), series.hour_of_day(i)
-                )
-            )
-            for i in range(start, stop)
-        ]
-    )
+    ceiling = clear_sky_row(
+        latitude_deg, series.start_day_of_year, len(series), series.dt_seconds
+    )[start:stop]
     # The cap binds the *boost*, not the underlying trace: a sample that
     # already exceeded the model ceiling is never pushed below its
     # original value (and a sub-unity boost still dims freely).

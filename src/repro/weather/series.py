@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Tuple
 
 import numpy as np
 
@@ -10,6 +11,20 @@ from repro.utils.validation import check_finite, check_positive
 
 SECONDS_PER_DAY = 86_400.0
 SECONDS_PER_HOUR = 3_600.0
+
+
+def clock_at(
+    start_day_of_year: int, index: int, dt_seconds: float
+) -> Tuple[int, float]:
+    """``(day_of_year, hour_of_day)`` of sample ``index`` of a trace clock.
+
+    Sample 0 is local midnight of ``start_day_of_year``; days wrap
+    1..365.  Code that builds a whole trace's time-indexed values before
+    a :class:`WeatherSeries` exists reads the clock here.
+    """
+    seconds = index * dt_seconds
+    day = (start_day_of_year - 1 + int(seconds // SECONDS_PER_DAY)) % 365 + 1
+    return day, (seconds % SECONDS_PER_DAY) / SECONDS_PER_HOUR
 
 
 @dataclass(frozen=True)
@@ -61,13 +76,11 @@ class WeatherSeries:
     # ------------------------------------------------------------ accessors
     def hour_of_day(self, index: int) -> float:
         """Local hour of day (0..24) of sample ``index``."""
-        seconds = index * self.dt_seconds
-        return (seconds % SECONDS_PER_DAY) / SECONDS_PER_HOUR
+        return clock_at(self.start_day_of_year, index, self.dt_seconds)[1]
 
     def day_of_year(self, index: int) -> int:
         """Day of year (1..365, wrapping) of sample ``index``."""
-        days = int(index * self.dt_seconds // SECONDS_PER_DAY)
-        return (self.start_day_of_year - 1 + days) % 365 + 1
+        return clock_at(self.start_day_of_year, index, self.dt_seconds)[0]
 
     def slice(self, start: int, stop: int) -> "WeatherSeries":
         """Return samples ``[start, stop)`` as a new series.

@@ -9,10 +9,19 @@ irradiance (GHI).  Accuracy targets are those relevant for HVAC control
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+from repro.weather.series import clock_at
 
 # Extraterrestrial (top-of-atmosphere) solar constant, W/m^2.
 SOLAR_CONSTANT = 1361.0
+
+#: Distinct clocks whose seed-independent weather rows stay memoized.  A
+#: fleet shares one clock, so a handful covers every workload; the bound
+#: keeps long-lived processes that sweep many clocks from growing.
+ROW_MEMO_SIZE = 16
 
 
 def solar_declination_deg(day_of_year: float) -> float:
@@ -60,3 +69,23 @@ def clear_sky_ghi(elevation_deg: float) -> float:
     air_mass = 1.0 / (sin_elev + 0.50572 * (elevation_deg + 6.07995) ** -1.6364)
     ghi = 0.84 * SOLAR_CONSTANT * sin_elev * np.exp(-0.13 * air_mass)
     return float(max(ghi, 0.0))
+
+
+@functools.lru_cache(maxsize=ROW_MEMO_SIZE)
+def clear_sky_row(
+    latitude_deg: float, start_day_of_year: int, n_steps: int, dt_seconds: float
+) -> np.ndarray:
+    """Clear-sky GHI of every sample of a trace clock, W/m^2 (read-only).
+
+    Sample ``i`` sits at ``i * dt_seconds`` after midnight of
+    ``start_day_of_year``, the clock of
+    :class:`~repro.weather.series.WeatherSeries`.  The row depends on the
+    clock and the site alone, so it is computed once per key with the
+    scalar functions above and shared by every trace on that clock.
+    """
+    row = np.empty(n_steps)
+    for i in range(n_steps):
+        day, hour = clock_at(start_day_of_year, i, dt_seconds)
+        row[i] = clear_sky_ghi(solar_elevation_deg(latitude_deg, day, hour))
+    row.flags.writeable = False
+    return row

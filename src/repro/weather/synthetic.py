@@ -9,14 +9,15 @@ deterministic given a seed, so every experiment can pin its weather.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.utils.seeding import RandomState, ensure_rng
 from repro.utils.validation import check_in_range, check_positive
-from repro.weather.series import SECONDS_PER_DAY, WeatherSeries
-from repro.weather.solar import clear_sky_ghi, solar_elevation_deg
+from repro.weather.series import SECONDS_PER_DAY, WeatherSeries, clock_at
+from repro.weather.solar import ROW_MEMO_SIZE, clear_sky_row
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,33 @@ class SyntheticWeatherConfig:
         check_in_range("cloud_ar1", self.cloud_ar1, 0.0, 1.0, inclusive=False)
 
 
+@functools.lru_cache(maxsize=ROW_MEMO_SIZE)
+def _temperature_base(
+    config: SyntheticWeatherConfig,
+    start_day_of_year: int,
+    n_steps: int,
+    dt_seconds: float,
+) -> np.ndarray:
+    """Annual mean + seasonal + diurnal temperature per sample (read-only).
+
+    The seed-independent part of the temperature channel, computed once
+    per clock with scalar arithmetic; each trace adds its own AR(1)
+    residual on top.
+    """
+    base = np.empty(n_steps)
+    for i in range(n_steps):
+        day, hour = clock_at(start_day_of_year, i, dt_seconds)
+        seasonal = config.seasonal_amplitude_c * np.cos(
+            2.0 * np.pi * (day - config.peak_day_of_year) / 365.0
+        )
+        diurnal = config.diurnal_amplitude_c * np.cos(
+            2.0 * np.pi * (hour - config.peak_hour_of_day) / 24.0
+        )
+        base[i] = config.annual_mean_c + seasonal + diurnal
+    base.flags.writeable = False
+    return base
+
+
 def generate_weather(
     config: SyntheticWeatherConfig,
     *,
@@ -60,6 +88,15 @@ def generate_weather(
     rng: RandomState | int | None = None,
 ) -> WeatherSeries:
     """Generate a :class:`WeatherSeries` of ``n_days`` starting at midnight.
+
+    Everything except the two AR(1) residuals — the seasonal and diurnal
+    temperature terms and the clear-sky GHI — depends only on ``config``
+    and the clock ``(start_day_of_year, n_samples, dt_seconds)``.  That
+    template is computed once per clock and memoized read-only (see
+    :func:`~repro.weather.solar.clear_sky_row`), so a fleet of buildings
+    sharing one clock pays the per-sample solar geometry once; each call
+    then draws its ``2 * n_samples`` innovations in one block and runs
+    the two recursions.
 
     Parameters
     ----------
@@ -72,7 +109,8 @@ def generate_weather(
     dt_seconds:
         Sampling period; 900 s matches the paper's 15-minute control step.
     rng:
-        Seed or generator for the stochastic residuals.
+        Seed or generator for the stochastic residuals.  A passed
+        generator advances by exactly ``2 * n_samples`` standard normals.
     """
     check_positive("n_days", n_days)
     check_positive("dt_seconds", dt_seconds)
@@ -81,43 +119,43 @@ def generate_weather(
     if n_steps < 1:
         raise ValueError("trace must contain at least one sample")
 
-    temp = np.empty(n_steps)
-    ghi = np.empty(n_steps)
+    base = _temperature_base(config, start_day_of_year, n_steps, dt_seconds)
+    clear_sky = clear_sky_row(
+        config.latitude_deg, start_day_of_year, n_steps, dt_seconds
+    )
 
     # AR(1) residuals: innovations scaled so the stationary std matches cfg.
-    temp_noise = 0.0
+    # Sample i's temperature innovation is draw 2i and its cloud innovation
+    # draw 2i + 1; ``0.0 + std * z`` is exactly what ``rng.normal(0.0, std)``
+    # returns for the standard normal ``z``.
     temp_innov_std = config.noise_std_c * np.sqrt(1.0 - config.noise_ar1**2)
-    cloud = config.cloud_mean
     cloud_innov_std = config.cloud_std * np.sqrt(1.0 - config.cloud_ar1**2)
+    draws = rng.standard_normal(2 * n_steps)
+    temp_innov = (0.0 + temp_innov_std * draws[0::2]).tolist()
+    cloud_innov = (0.0 + cloud_innov_std * draws[1::2]).tolist()
 
+    noise_ar1 = config.noise_ar1
+    cloud_ar1 = config.cloud_ar1
+    cloud_pull = (1.0 - cloud_ar1) * config.cloud_mean
+    temp_noise = 0.0
+    cloud = config.cloud_mean
+    noise = [0.0] * n_steps
+    clouds = [0.0] * n_steps
     for i in range(n_steps):
-        seconds = i * dt_seconds
-        day = (start_day_of_year - 1 + int(seconds // SECONDS_PER_DAY)) % 365 + 1
-        hour = (seconds % SECONDS_PER_DAY) / 3600.0
-
-        seasonal = config.seasonal_amplitude_c * np.cos(
-            2.0 * np.pi * (day - config.peak_day_of_year) / 365.0
-        )
-        diurnal = config.diurnal_amplitude_c * np.cos(
-            2.0 * np.pi * (hour - config.peak_hour_of_day) / 24.0
-        )
-        temp_noise = config.noise_ar1 * temp_noise + rng.normal(0.0, temp_innov_std)
-        temp[i] = config.annual_mean_c + seasonal + diurnal + temp_noise
-
-        cloud = (
-            config.cloud_ar1 * cloud
-            + (1.0 - config.cloud_ar1) * config.cloud_mean
-            + rng.normal(0.0, cloud_innov_std)
-        )
-        cloud = float(np.clip(cloud, 0.05, 1.0))
-        elev = solar_elevation_deg(config.latitude_deg, day, hour)
-        ghi[i] = cloud * clear_sky_ghi(elev)
+        temp_noise = noise_ar1 * temp_noise + temp_innov[i]
+        noise[i] = temp_noise
+        cloud = cloud_ar1 * cloud + cloud_pull + cloud_innov[i]
+        if cloud < 0.05:
+            cloud = 0.05
+        elif cloud > 1.0:
+            cloud = 1.0
+        clouds[i] = cloud
 
     return WeatherSeries(
         dt_seconds=dt_seconds,
         start_day_of_year=int(start_day_of_year),
-        temp_out_c=temp,
-        ghi_w_m2=ghi,
+        temp_out_c=base + np.array(noise),
+        ghi_w_m2=np.array(clouds) * clear_sky,
     )
 
 

@@ -54,6 +54,9 @@ class WorkloadTrace:
     clients: np.ndarray
     format_version: int = TRACE_FORMAT_VERSION
     _sha256: Optional[str] = field(default=None, repr=False, compare=False)
+    _buckets: Optional[List[np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.times_s = np.ascontiguousarray(self.times_s, dtype=np.float64)
@@ -137,14 +140,22 @@ class WorkloadTrace:
 
         Multiple events from one client inside one control tick coalesce
         into a single request — a thermostat asking twice within the same
-        tick still gets exactly one action.
+        tick still gets exactly one action.  The buckets are computed once
+        and cached as read-only arrays.
         """
-        ticks = self.event_ticks()
-        buckets: List[np.ndarray] = []
-        for k in range(self.n_ticks):
-            mask = ticks == k
-            buckets.append(np.unique(self.clients[mask]))
-        return buckets
+        if self._buckets is None:
+            # times_s is sorted, so event ticks are too: each tick's events
+            # are one contiguous slice.
+            bounds = np.searchsorted(
+                self.event_ticks(), np.arange(self.n_ticks + 1)
+            ).tolist()
+            buckets = []
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                bucket = np.unique(self.clients[lo:hi])
+                bucket.flags.writeable = False
+                buckets.append(bucket)
+            self._buckets = buckets
+        return list(self._buckets)
 
     @property
     def n_requests(self) -> int:

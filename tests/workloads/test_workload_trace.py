@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.store import ExperimentStore
 from repro.workloads import (
@@ -70,6 +72,47 @@ class TestCoalescing:
         assert [list(b) for b in buckets] == [[0, 1], [0]]
         assert trace.n_events == 4
         assert trace.n_requests == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n_clients=st.integers(1, 5),
+        tick_s=st.sampled_from([60.0, 450.0, 900.0]),
+        n_ticks=st.integers(1, 12),
+        partial_tick=st.booleans(),
+    )
+    def test_buckets_match_naive_per_tick_mask(
+        self, data, n_clients, tick_s, n_ticks, partial_tick
+    ):
+        duration = tick_s * (n_ticks - 0.5 if partial_tick else n_ticks)
+        # Events land on a coarse grid so several share a tick, some ticks
+        # stay empty and one client can fire twice inside a tick.
+        slots = st.integers(0, int(duration / tick_s * 4) - 1)
+        events = data.draw(
+            st.lists(st.tuples(slots, st.integers(0, n_clients - 1)), max_size=40)
+        )
+        times = np.sort(np.array([s * tick_s / 4 for s, _ in events], dtype=float))
+        order = np.argsort([s for s, _ in events], kind="stable")
+        clients = np.array([events[i][1] for i in order], dtype=np.int64)
+        spec = WorkloadSpec(name="unit", duration_s=duration, tick_s=tick_s)
+        trace = WorkloadTrace(
+            spec_config=spec.as_config(),
+            n_clients=n_clients,
+            seed=0,
+            times_s=times,
+            clients=clients,
+        )
+        ticks = trace.event_ticks()
+        naive = [np.unique(clients[ticks == k]) for k in range(trace.n_ticks)]
+        buckets = trace.requests_by_tick()
+        assert len(buckets) == len(naive) == trace.n_ticks
+        for got, want in zip(buckets, naive):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+        assert trace.n_requests == sum(b.size for b in naive)
+        again = trace.requests_by_tick()
+        assert all(a is b for a, b in zip(again, buckets))
 
     def test_event_ticks_floor_divide(self):
         trace = small_trace()

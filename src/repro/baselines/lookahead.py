@@ -1,8 +1,9 @@
 """Model-based myopic oracle.
 
 Enumerates every joint action, simulates one control step with the *true*
-simulator components (building, VAV plant, tariff, comfort band, actual
-weather), and picks the action with the best immediate reward.  It is not
+simulator — every candidate a row of one control-step kernel call
+(:mod:`repro.env.kernel`) against the actual weather — and picks the
+action with the best immediate reward.  It is not
 optimal — it cannot pre-cool ahead of price peaks — but it is the exact
 greedy policy of the true one-step model, a useful reference bound for
 model-free agents and a check that the environment's reward surface is
@@ -36,47 +37,19 @@ class LookaheadController(AgentBase):
                 f"joint action space of {n_joint} exceeds limit {max_joint_actions}"
             )
         self.env = inner
+        self._candidates = inner.action_space.unflatten_batch(np.arange(n_joint))
 
-    def _one_step_reward(self, levels: np.ndarray) -> float:
-        """Reproduce HVACEnv.step's reward for a candidate action."""
-        env = self.env
-        i = env.time_index
-        day = env.weather.day_of_year(i)
-        hour = env.weather.hour_of_day(i)
-        temp_out = float(env.weather.temp_out_c[i])
-        ghi = float(env.weather.ghi_w_m2[i])
-        dt = env.weather.dt_seconds
-        temps = env.zone_temps_c
+    def candidate_rewards(self) -> np.ndarray:
+        """The immediate reward of every joint action from the current
+        state, indexed by flat joint action.
 
-        hvac_heat = env.vav.zone_heat_w(levels, temps)
-        power = env.vav.electric_power_w(levels, temps, temp_out)
-        cost = env.tariff.energy_cost_usd(power, dt, day, hour)
-        new_temps = env.building.step(
-            temps,
-            temp_out_c=temp_out,
-            ghi_w_m2=ghi,
-            hvac_heat_w=hvac_heat,
-            day_of_year=day,
-            hour_of_day=hour,
-            dt_seconds=dt,
-        )
-        occupied = env.building.occupancy(day, hour)
-        violation = float(
-            env.comfort.violations_deg(new_temps, occupied).sum() * dt / 3600.0
-        )
-        return (
-            -env.config.cost_weight * cost
-            - env.config.comfort_weight * violation
-        )
+        All candidates are rows of one control-step kernel call — the
+        call ``env.step`` makes with its single row — so each entry
+        equals the reward ``env.step`` would return.
+        """
+        rows, _ = self.env._step_rows(self._candidates)
+        return rows.outcome.reward
 
     def select_action(self, obs: np.ndarray, *, explore: bool = False) -> np.ndarray:
-        space = self.env.action_space
-        best_reward = -np.inf
-        best_levels = space.unflatten(0)
-        for joint in range(space.n_joint):
-            levels = space.unflatten(joint)
-            reward = self._one_step_reward(levels)
-            if reward > best_reward:
-                best_reward = reward
-                best_levels = levels
-        return best_levels
+        # argmax keeps the first of tied candidates, in joint-action order.
+        return self._candidates[int(np.argmax(self.candidate_rewards()))].copy()

@@ -22,6 +22,7 @@ import numpy as np
 from repro.core.agent import AgentBase
 from repro.env.core import Env
 from repro.env.hvac_env import HVACEnv
+from repro.env.kernel import outcome, plant
 from repro.sysid.fit import FirstOrderZoneModel
 from repro.utils.validation import check_positive
 
@@ -71,7 +72,9 @@ class MPCController(AgentBase):
                 f"{n_levels}**{self.horizon} sequences exceed limit {max_sequences}"
             )
         self.model = model if model is not None else self._true_model(inner)
-        self._sequences = list(product(range(n_levels), repeat=self.horizon))
+        self._sequences = np.array(
+            list(product(range(n_levels), repeat=self.horizon)), dtype=int
+        )
 
     @staticmethod
     def _true_model(env: HVACEnv) -> FirstOrderZoneModel:
@@ -111,43 +114,35 @@ class MPCController(AgentBase):
             ),
         }
 
-    def _score_sequence(self, levels: tuple, inputs: dict, temp0: float) -> float:
-        """Total reward of one airflow-level sequence under the model."""
+    def _scores(self, inputs: dict, temp0: float) -> np.ndarray:
+        """Total reward of every candidate sequence under the model.
+
+        Each horizon step scores all sequences at once: they are the
+        rows of one call of the kernel's plant and reward functions
+        (:mod:`repro.env.kernel`), with the zone model stepping their
+        temperatures in between.
+        """
         env = self.env
+        cols = env._cols
         dt = env.weather.dt_seconds
-        dt_hours = dt / 3600.0
-        total = 0.0
-        temp = temp0
-        for k, level in enumerate(levels):
-            heat = env.vav.zone_heat_w(
-                np.array([level]), np.array([temp])
-            )[0]
-            power = env.vav.electric_power_w(
-                np.array([level]), np.array([temp]), float(inputs["temp_out"][k])
+        temps = np.full((len(self._sequences), 1), temp0)
+        total = np.zeros(len(self._sequences))
+        for k in range(self.horizon):
+            temp_out = float(inputs["temp_out"][k])
+            occupied = bool(inputs["occupied"][k])
+            flows, heat, power_w = plant(
+                cols, self._sequences[:, k : k + 1], temps, temp_out
             )
-            cost = power * dt / 3.6e6 * float(inputs["price"][k])
-            temp = self.model.step(
-                temp,
-                float(inputs["temp_out"][k]),
-                float(inputs["ghi"][k]),
-                float(heat),
-                bool(inputs["occupied"][k]),
-                dt,
+            temps = self.model.step(
+                temps, temp_out, float(inputs["ghi"][k]), heat, occupied, dt
             )
-            violation = env.comfort.violation_deg(temp, bool(inputs["occupied"][k]))
-            total -= env.config.cost_weight * cost
-            total -= env.config.comfort_weight * violation * dt_hours
+            total += outcome(
+                cols, temps, occupied, flows, power_w, float(inputs["price"][k]), dt
+            ).reward
         return total
 
     def select_action(self, obs: np.ndarray, *, explore: bool = False) -> np.ndarray:
         """Re-plan from the current state and return the first action."""
-        inputs = self._plan_inputs()
-        temp0 = float(self.env.zone_temps_c[0])
-        best_score = -np.inf
-        best_first = 0
-        for seq in self._sequences:
-            score = self._score_sequence(seq, inputs, temp0)
-            if score > best_score:
-                best_score = score
-                best_first = seq[0]
-        return np.array([best_first])
+        scores = self._scores(self._plan_inputs(), float(self.env.zone_temps_c[0]))
+        # argmax keeps the first of tied sequences, in enumeration order.
+        return self._sequences[int(np.argmax(scores)), :1].copy()

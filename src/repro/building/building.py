@@ -1,11 +1,10 @@
 """Building: zones + RC network + schedules composed into one simulator.
 
 A :class:`Building` owns the static description (zones, conductances,
-schedules) and exposes a pure ``step`` that advances zone temperatures one
-control step given ambient conditions and the HVAC heat extraction per
-zone.  It has no notion of the HVAC plant or of rewards — those live in
-``repro.hvac`` and ``repro.env`` respectively — which keeps the physics
-independently testable.
+schedules) and the per-zone solar and internal gains.  It has no notion
+of the HVAC plant or of rewards: a control step — plant, RC advance,
+comfort and reward — is the kernel in :mod:`repro.env.kernel`, which
+steps the building's :class:`~repro.building.thermal.RCNetwork`.
 """
 
 from __future__ import annotations
@@ -96,35 +95,7 @@ class Building:
             dtype=bool,
         )
 
-    # ----------------------------------------------------------- simulation
-    def step(
-        self,
-        temps: np.ndarray,
-        *,
-        temp_out_c: float,
-        ghi_w_m2: float,
-        hvac_heat_w: np.ndarray,
-        day_of_year: int,
-        hour_of_day: float,
-        dt_seconds: float,
-    ) -> np.ndarray:
-        """Advance zone temperatures one control step.
-
-        ``hvac_heat_w`` is the HVAC heat flow per zone (negative when the
-        supply air is cooling the zone).  Returns the new temperatures.
-        """
-        hvac_heat_w = np.asarray(hvac_heat_w, dtype=np.float64)
-        if hvac_heat_w.shape != (self.n_zones,):
-            raise ValueError(
-                f"hvac_heat_w must have shape ({self.n_zones},), got {hvac_heat_w.shape}"
-            )
-        heat = (
-            self.solar_gains_w(ghi_w_m2)
-            + self.internal_gains_w(day_of_year, hour_of_day)
-            + hvac_heat_w
-        )
-        return self.network.step(temps, temp_out_c, heat, dt_seconds)
-
+    # ----------------------------------------------------------- steady state
     def free_float_steady_state(
         self, temp_out_c: float, ghi_w_m2: float, day_of_year: int, hour_of_day: float
     ) -> np.ndarray:

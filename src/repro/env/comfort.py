@@ -1,16 +1,15 @@
-"""Comfort band and violation accounting.
+"""Comfort band.
 
 The paper's comfort constraint keeps zone temperature inside a band while
 the zone is occupied; excursions are penalized proportionally to their
 magnitude.  Outside occupied hours a much wider setback band applies (the
-building must not freeze or bake, but comfort is not at stake).
+building must not freeze or bake, but comfort is not at stake).  The
+violation arithmetic is :func:`repro.env.kernel.outcome`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.utils.validation import check_in_range
 
@@ -41,30 +40,3 @@ class ComfortBand:
             or self.setback_high_c < self.occupied_high_c
         ):
             raise ValueError("setback band must contain the occupied band")
-
-    def bounds(self, occupied: bool) -> tuple[float, float]:
-        """The active (low, high) band for an occupancy state."""
-        if occupied:
-            return self.occupied_low_c, self.occupied_high_c
-        return self.setback_low_c, self.setback_high_c
-
-    def violation_deg(self, temp_c: float, occupied: bool) -> float:
-        """Degrees outside the active band (0 when inside)."""
-        low, high = self.bounds(occupied)
-        if temp_c > high:
-            return temp_c - high
-        if temp_c < low:
-            return low - temp_c
-        return 0.0
-
-    def violations_deg(self, temps_c: np.ndarray, occupied: np.ndarray) -> np.ndarray:
-        """Vectorized per-zone violation magnitudes."""
-        temps_c = np.asarray(temps_c, dtype=np.float64)
-        occupied = np.asarray(occupied, dtype=bool)
-        if temps_c.shape != occupied.shape:
-            raise ValueError(
-                f"temps {temps_c.shape} and occupancy {occupied.shape} must match"
-            )
-        low = np.where(occupied, self.occupied_low_c, self.setback_low_c)
-        high = np.where(occupied, self.occupied_high_c, self.setback_high_c)
-        return np.maximum(0.0, np.maximum(temps_c - high, low - temps_c))

@@ -13,18 +13,30 @@ Action
 Reward
     ``-(energy cost in $) - comfort_weight * (violation degree-hours)``,
     i.e. the paper's weighted trade-off between energy cost and comfort.
+
+The transition itself — plant response, RC advance, comfort and reward —
+is the shared control-step kernel (:mod:`repro.env.kernel`), stepped
+here as a single row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.building.building import Building
 from repro.env.comfort import ComfortBand
 from repro.env.core import Env, StepResult
+from repro.env.kernel import (
+    StepColumns,
+    StepRows,
+    require_exact_propagator,
+    step_columns,
+    step_rows,
+)
 from repro.env.spaces import Box, MultiDiscrete
 from repro.hvac.tariffs import Tariff, TimeOfUseTariff
 from repro.hvac.vav import VAVConfig, VAVSystem
@@ -107,6 +119,7 @@ class HVACEnv(Env):
         config: Optional[HVACEnvConfig] = None,
         rng: RandomState | int | None = None,
     ) -> None:
+        require_exact_propagator(building.network)
         self.building = building
         self.weather = weather
         if vav is None:
@@ -152,6 +165,12 @@ class HVACEnv(Env):
         self._temps = np.full(n, 0.5 * (self.comfort.occupied_low_c + self.comfort.occupied_high_c))
         self._steps_taken = 0
         self._needs_reset = True
+
+    @cached_property
+    def _cols(self) -> StepColumns:
+        """This env's one-row kernel columns (built on first use: a fleet
+        builds its own columns for all its envs at once)."""
+        return step_columns([self])
 
     # ------------------------------------------------------------- features
     def _build_obs_names(self) -> List[str]:
@@ -229,62 +248,47 @@ class HVACEnv(Env):
             raise ValueError(f"action {action!r} not in {self.action_space}")
         return levels
 
+    def _step_rows(self, levels: np.ndarray) -> Tuple[StepRows, Dict[str, object]]:
+        """The kernel's control step of each ``levels`` row from the
+        current state, and the step's exogenous inputs (info-dict keys).
+
+        The env itself does not move: :meth:`step` commits its single
+        row; the lookahead oracle scores every candidate action.
+        Comfort is scored on the end-of-step temperatures.
+        """
+        i = self._index
+        day = self.weather.day_of_year(i)
+        hour = self.weather.hour_of_day(i)
+        inputs: Dict[str, object] = {
+            "temp_out_c": float(self.weather.temp_out_c[i]),
+            "ghi_w_m2": float(self.weather.ghi_w_m2[i]),
+            "price_per_kwh": self.tariff.price_per_kwh(day, hour),
+            "occupied": self.building.occupancy(day, hour),
+            "day_of_year": day,
+            "hour_of_day": hour,
+        }
+        dt = self.weather.dt_seconds
+        net = self.building.network
+        decay, gain = net._propagator(dt)
+        rows = step_rows(
+            self._cols, net, decay, gain, levels, self._temps[None],
+            self.weather.temp_out_c[i : i + 1],
+            self.weather.ghi_w_m2[i : i + 1],
+            inputs["price_per_kwh"],
+            inputs["occupied"],
+            self.building.internal_gains_w(day, hour),
+            dt,
+        )
+        return rows, inputs
+
     def step(self, action) -> StepResult:
         """Apply per-zone airflow levels for one control step."""
         if self._needs_reset:
             raise RuntimeError("call reset() before step()")
         levels = self._coerce_action(action)
-
-        i = self._index
-        day = self.weather.day_of_year(i)
-        hour = self.weather.hour_of_day(i)
-        temp_out = float(self.weather.temp_out_c[i])
-        ghi = float(self.weather.ghi_w_m2[i])
-        dt = self.weather.dt_seconds
-        dt_hours = dt / 3600.0
-
-        # Plant response to the chosen airflow levels.
-        hvac_heat = self.vav.zone_heat_w(levels, self._temps)
-        power_w = self.vav.electric_power_w(levels, self._temps, temp_out)
-        cost_usd = self.tariff.energy_cost_usd(power_w, dt, day, hour)
-        energy_kwh = power_w * dt / 3.6e6
-
-        # Advance the thermal state.
-        new_temps = self.building.step(
-            self._temps,
-            temp_out_c=temp_out,
-            ghi_w_m2=ghi,
-            hvac_heat_w=hvac_heat,
-            day_of_year=day,
-            hour_of_day=hour,
-            dt_seconds=dt,
-        )
-
-        # Comfort accounting uses the end-of-step temperatures (what the
-        # occupants experience after the decision acts).
-        occupied = self.building.occupancy(day, hour)
-        violations = self.comfort.violations_deg(new_temps, occupied)
-        violation_deg_hours = float(violations.sum() * dt_hours)
-
-        reward = (
-            -self.config.cost_weight * cost_usd
-            - self.config.comfort_weight * violation_deg_hours
-        )
-
-        # Per-zone reward decomposition (sums exactly to the scalar
-        # reward): energy cost attributed by airflow share, comfort
-        # penalty by the zone's own violation.  The factored multi-zone
-        # agent trains each zone head on its local component.
-        flows = self.vav.flows_from_levels(levels)
-        total_flow = float(flows.sum())
-        if total_flow > 0.0:
-            cost_share = flows / total_flow
-        else:
-            cost_share = np.full(self.building.n_zones, 1.0 / self.building.n_zones)
-        reward_per_zone = (
-            -self.config.cost_weight * cost_usd * cost_share
-            - self.config.comfort_weight * violations * dt_hours
-        )
+        rows, inputs = self._step_rows(levels[None])
+        new_temps = rows.new_temps[0]
+        out = rows.outcome
 
         self._temps = new_temps
         self._index += 1
@@ -296,22 +300,22 @@ class HVACEnv(Env):
             self._needs_reset = True
 
         info: Dict[str, object] = {
-            "energy_kwh": energy_kwh,
-            "cost_usd": cost_usd,
-            "power_w": power_w,
-            "violation_deg_hours": violation_deg_hours,
-            "violation_per_zone_deg": violations,
-            "reward_per_zone": reward_per_zone,
+            "energy_kwh": float(out.energy_kwh[0]),
+            "cost_usd": float(out.cost_usd[0]),
+            "power_w": float(rows.power_w[0]),
+            "violation_deg_hours": float(out.violation_deg_hours[0]),
+            "violation_per_zone_deg": out.violations[0],
+            "reward_per_zone": out.reward_per_zone[0],
             "temps_c": new_temps.copy(),
-            "temp_out_c": temp_out,
-            "ghi_w_m2": ghi,
-            "price_per_kwh": self.tariff.price_per_kwh(day, hour),
+            "temp_out_c": inputs["temp_out_c"],
+            "ghi_w_m2": inputs["ghi_w_m2"],
+            "price_per_kwh": inputs["price_per_kwh"],
             "levels": levels.copy(),
-            "occupied": occupied.copy(),
-            "day_of_year": day,
-            "hour_of_day": hour,
+            "occupied": inputs["occupied"],
+            "day_of_year": inputs["day_of_year"],
+            "hour_of_day": inputs["hour_of_day"],
         }
-        return self._observation(), float(reward), bool(done), info
+        return self._observation(), float(out.reward[0]), bool(done), info
 
     # -------------------------------------------------------- checkpointing
     def state_dict(self) -> dict:

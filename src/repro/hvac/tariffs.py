@@ -26,15 +26,6 @@ class Tariff:
         """Price in $/kWh at the given local time."""
         raise NotImplementedError
 
-    def energy_cost_usd(
-        self, power_w: float, dt_seconds: float, day_of_year: int, hour_of_day: float
-    ) -> float:
-        """Cost of drawing ``power_w`` for ``dt_seconds`` starting at the time."""
-        if power_w < 0:
-            raise ValueError(f"power_w must be >= 0, got {power_w}")
-        kwh = power_w * dt_seconds / 3.6e6
-        return kwh * self.price_per_kwh(day_of_year, hour_of_day)
-
 
 @dataclass(frozen=True)
 class FlatTariff(Tariff):

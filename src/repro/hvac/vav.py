@@ -1,4 +1,4 @@
-"""Variable-air-volume (VAV) HVAC plant model.
+"""Variable-air-volume (VAV) HVAC plant parameters.
 
 Thermal side: supply air at ``supply_temp_c`` enters zone ``i`` at mass
 flow ``m_i``, so the zone receives ``m_i * cp * (T_supply - T_zone_i)``
@@ -12,14 +12,15 @@ Electric side (what the tariff prices):
   supply condition: return air (flow-weighted zone temperature) blended
   with ``outdoor_air_fraction`` of ambient air, cooled to supply
   temperature, divided by the chiller COP to get electric power.
+
+The arithmetic is :func:`repro.env.kernel.plant`, the plant stage of the
+control-step kernel; this module holds the parameters it reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.utils.validation import check_in_range, check_positive
 
@@ -86,72 +87,7 @@ class VAVSystem:
         self.config = config
         self.n_zones = int(n_zones)
 
-    # -------------------------------------------------------------- actions
     @property
     def n_levels(self) -> int:
         """Discrete airflow levels per zone (the per-zone action count)."""
         return self.config.n_levels
-
-    def flows_from_levels(self, levels: Sequence[int]) -> np.ndarray:
-        """Map per-zone level indices to airflow rates (kg/s)."""
-        levels = np.asarray(levels, dtype=int)
-        if levels.shape != (self.n_zones,):
-            raise ValueError(
-                f"levels must have shape ({self.n_zones},), got {levels.shape}"
-            )
-        if np.any(levels < 0) or np.any(levels >= self.config.n_levels):
-            raise ValueError(
-                f"levels must be in [0, {self.config.n_levels - 1}], got {levels}"
-            )
-        table = np.asarray(self.config.flow_levels_kg_s)
-        return table[levels]
-
-    # -------------------------------------------------------------- thermal
-    def zone_heat_w(self, levels: Sequence[int], zone_temps_c: np.ndarray) -> np.ndarray:
-        """Heat delivered to each zone by the supply air (negative = cooling)."""
-        zone_temps_c = np.asarray(zone_temps_c, dtype=np.float64)
-        if zone_temps_c.shape != (self.n_zones,):
-            raise ValueError(
-                f"zone_temps_c must have shape ({self.n_zones},), got {zone_temps_c.shape}"
-            )
-        flows = self.flows_from_levels(levels)
-        return flows * AIR_CP_J_PER_KG_K * (self.config.supply_temp_c - zone_temps_c)
-
-    # -------------------------------------------------------------- electric
-    def fan_power_w(self, levels: Sequence[int]) -> float:
-        """Supply-fan electric power via the affinity (cube) law."""
-        flows = self.flows_from_levels(levels)
-        total_max = self.config.max_flow_kg_s * self.n_zones
-        frac = float(flows.sum() / total_max)
-        return self.config.fan_power_max_w * self.n_zones * frac**3
-
-    def coil_power_w(
-        self, levels: Sequence[int], zone_temps_c: np.ndarray, temp_out_c: float
-    ) -> float:
-        """Cooling-coil electric power for the mixed-air stream.
-
-        Return air is the flow-weighted zone temperature; mixed air blends
-        in ``outdoor_air_fraction`` of ambient.  Only sensible cooling from
-        mixed-air to supply temperature is modelled; if the mixed air is
-        already at or below supply temperature (free cooling) the coil is
-        off.
-        """
-        zone_temps_c = np.asarray(zone_temps_c, dtype=np.float64)
-        flows = self.flows_from_levels(levels)
-        total = float(flows.sum())
-        if total <= 0.0:
-            return 0.0
-        return_temp = float(flows @ zone_temps_c / total)
-        oaf = self.config.outdoor_air_fraction
-        mixed_temp = (1.0 - oaf) * return_temp + oaf * temp_out_c
-        delta = max(mixed_temp - self.config.supply_temp_c, 0.0)
-        thermal_w = total * AIR_CP_J_PER_KG_K * delta
-        return thermal_w / self.config.cop
-
-    def electric_power_w(
-        self, levels: Sequence[int], zone_temps_c: np.ndarray, temp_out_c: float
-    ) -> float:
-        """Total electric power drawn by the plant for this action."""
-        return self.fan_power_w(levels) + self.coil_power_w(
-            levels, zone_temps_c, temp_out_c
-        )

@@ -9,16 +9,15 @@ zone count — so a whole fleet advances in a single batched ``matmul``:
 
 The per-network propagators are taken **from the scalar networks' own
 caches**, so a batched step reproduces the scalar update to floating-point
-round-off (the parity guarantee the vector environment tests rely on).
+round-off.
 Zones beyond a network's true width are masked: their capacitance is 1,
 all conductances and heat inputs are 0, and their propagator rows are 0,
 so padded temperatures stay identically 0 forever.
 
 Fleet state is stored structure-of-arrays (columnar ``capacitance``,
-``ua_ambient``, ``zone_mask``).  The update itself is the module-level
-:func:`advance`, shared with the fused step kernel of
-:class:`~repro.sim.vector_env.VectorHVACEnv` so the fleet has one RC
-update.
+``ua_ambient``).  The update itself is
+:func:`repro.env.kernel.advance`, the control-step kernel's RC advance
+shared by every stepper, so the repo has one RC update.
 """
 
 from __future__ import annotations
@@ -28,28 +27,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.building.thermal import RCNetwork
+from repro.env.kernel import advance, require_exact_propagator
 from repro.utils.validation import check_positive
-
-
-def advance(
-    decay: np.ndarray,
-    gain: np.ndarray,
-    temps: np.ndarray,
-    temp_out: np.ndarray,
-    heat_w: np.ndarray,
-    cap: np.ndarray,
-    ua: np.ndarray,
-) -> np.ndarray:
-    """One zero-order-held RC step for a stacked fleet.
-
-    ``decay``/``gain`` are ``(n, z, z)`` propagators, ``temps``/``heat_w``/
-    ``cap``/``ua`` are ``(n, z)`` and ``temp_out`` is ``(n,)``.
-    """
-    forcing = (ua * temp_out[:, None] + heat_w) / cap
-    return (
-        np.matmul(decay, temps[..., None])[..., 0]
-        + np.matmul(gain, forcing[..., None])[..., 0]
-    )
 
 
 class BatchRCNetwork:
@@ -68,24 +47,16 @@ class BatchRCNetwork:
         if not networks:
             raise ValueError("need at least one network")
         for k, net in enumerate(networks):
-            if net._m_inverse is None:
-                raise ValueError(
-                    f"network {k} has a singular dynamics matrix (a zone is "
-                    "isolated from ambient); batched stepping requires the "
-                    "exact-propagator path"
-                )
+            require_exact_propagator(net, k)
         self.networks: List[RCNetwork] = list(networks)
         self.n_envs = len(networks)
         self.max_zones = max(net.n_zones for net in networks)
 
         n, z = self.n_envs, self.max_zones
-        self.n_zones = np.array([net.n_zones for net in networks], dtype=int)
-        self.zone_mask = np.zeros((n, z), dtype=bool)
         self.capacitance = np.ones((n, z))
         self.ua_ambient = np.zeros((n, z))
         for k, net in enumerate(networks):
             m = net.n_zones
-            self.zone_mask[k, :m] = True
             self.capacitance[k, :m] = net.capacitance
             self.ua_ambient[k, :m] = net.ua_ambient
         # Only the last dt's pair is kept: a vector env steps with one dt

@@ -4,7 +4,9 @@ A golden record is a SHA-256 digest over the byte-exact trajectory a
 scenario produces under a fixed seed and a fixed action sequence —
 observations, rewards, done flags, zone temperatures, and per-step cost,
 for both the scalar :class:`~repro.env.hvac_env.HVACEnv` and the batched
-:class:`~repro.sim.vector_env.VectorHVACEnv`.  The committed fixtures
+:class:`~repro.sim.vector_env.VectorHVACEnv`.  The two step through one
+control-step kernel, so their trajectories are byte-identical; the two
+digests differ only in the order they hash steps in.  The committed fixtures
 (``tests/golden/trajectories.json``) are checked in tier-1, so *any*
 silent drift in the dynamics, the observation pipeline, the tariffs, or
 the RNG plumbing fails loudly with the scenario name attached.

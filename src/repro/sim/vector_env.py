@@ -4,9 +4,9 @@
 different climates, tariffs, schedules, comfort bands, and zone counts —
 in a single array program per control step.  The per-env work that the
 scalar :class:`~repro.env.hvac_env.HVACEnv` does in Python (occupancy
-lookups, tariff pricing, plant arithmetic, RC integration, comfort
-accounting) is either precomputed into time-indexed tables at
-construction or batched across the fleet with numpy, so aggregate
+lookups, tariff pricing) is precomputed into time-indexed tables at
+construction, and the step arithmetic runs once for the whole fleet
+through the control-step kernel (:mod:`repro.env.kernel`), so aggregate
 throughput scales far better than stepping N scalar envs sequentially
 (see ``benchmarks/perf_vector_sim.py``).
 
@@ -17,15 +17,15 @@ signature ``(n_zones, forecast_horizon)`` so row assembly stays
 vectorized per group.
 
 Parity: a fleet of N identical configs reproduces N independent scalar
-envs' trajectories to floating-point round-off, including RNG
-consumption — the vector env drives each scalar env's own generators for
-resets and forecast noise, and its arithmetic mirrors the scalar step
-operation for operation.
+envs' trajectories byte-identically, including RNG consumption — the
+vector env drives each scalar env's own generators for resets and
+forecast noise, and both step through the same kernel
+(:func:`repro.env.kernel.step_rows`), the fleet with one row per env and
+the scalar env with a single row.
 
-Fleet state is structure-of-arrays: static per-env columns built once at
-construction, and one fused numpy kernel (:meth:`VectorHVACEnv._step_kernel`)
-covering plant response, the RC advance
-(:func:`~repro.sim.batch_thermal.advance`), comfort and rewards.
+Fleet state is structure-of-arrays: the static per-env kernel columns
+(:func:`repro.env.kernel.step_columns`) built once at construction, plus
+the time tables and the dynamic state.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from repro.env.hvac_env import (
     _TEMP_SCALE_C,
     HVACEnv,
 )
-from repro.hvac.vav import AIR_CP_J_PER_KG_K
-from repro.sim.batch_thermal import BatchRCNetwork, advance
+from repro.env.kernel import step_columns, step_rows
+from repro.sim.batch_thermal import BatchRCNetwork
 from repro.weather.series import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 
@@ -190,50 +190,15 @@ class VectorHVACEnv:
         self.autoreset = bool(autoreset)
         n = self.n_envs = len(self.envs)
         self.dt_seconds = dts.pop()
-        self._dt_hours = self.dt_seconds / 3600.0
 
         self.batch_net = BatchRCNetwork([env.building.network for env in self.envs])
         z = self.max_zones = self.batch_net.max_zones
-        self.n_zones = self.batch_net.n_zones
-        self.zone_mask = self.batch_net.zone_mask
-
-        # ----------------------------------------------- static per-env arrays
-        self._aperture = np.zeros((n, z))
-        self._occ_low = np.empty((n, 1))
-        self._occ_high = np.empty((n, 1))
-        self._set_low = np.empty((n, 1))
-        self._set_high = np.empty((n, 1))
-        self._comfort_weight = np.empty(n)
-        self._cost_weight = np.empty(n)
-        self._episode_steps = np.empty(n, dtype=int)
-        self._trace_len = np.empty(n, dtype=int)
-        max_levels = max(env.vav.n_levels for env in self.envs)
-        self._flow_table = np.zeros((n, max_levels))
-        self._n_levels = np.empty(n, dtype=int)
-        self._supply_temp = np.empty(n)
-        self._oaf = np.empty(n)
-        self._cop = np.empty(n)
-        self._fan_scale = np.empty(n)  # fan_power_max_w * n_zones
-        self._plant_max_flow = np.empty(n)  # max_flow_kg_s * n_zones
-        for k, env in enumerate(self.envs):
-            m = env.building.n_zones
-            self._aperture[k, :m] = [zn.solar_aperture_m2 for zn in env.building.zones]
-            self._occ_low[k] = env.comfort.occupied_low_c
-            self._occ_high[k] = env.comfort.occupied_high_c
-            self._set_low[k] = env.comfort.setback_low_c
-            self._set_high[k] = env.comfort.setback_high_c
-            self._comfort_weight[k] = env.config.comfort_weight
-            self._cost_weight[k] = env.config.cost_weight
-            self._episode_steps[k] = env.episode_steps
-            self._trace_len[k] = len(env.weather)
-            cfg = env.vav.config
-            self._flow_table[k, : cfg.n_levels] = cfg.flow_levels_kg_s
-            self._n_levels[k] = cfg.n_levels
-            self._supply_temp[k] = cfg.supply_temp_c
-            self._oaf[k] = cfg.outdoor_air_fraction
-            self._cop[k] = cfg.cop
-            self._fan_scale[k] = cfg.fan_power_max_w * m
-            self._plant_max_flow[k] = cfg.max_flow_kg_s * m
+        self._cols = step_columns(self.envs)
+        self.n_zones = self._cols.n_zones
+        self.zone_mask = self._cols.zone_mask
+        self._episode_steps = np.array([env.episode_steps for env in self.envs])
+        self._trace_len = np.array([len(env.weather) for env in self.envs])
+        self._n_levels = np.array([env.vav.n_levels for env in self.envs])
 
         self._build_time_tables()
         self._build_obs_groups()
@@ -512,79 +477,6 @@ class VectorHVACEnv:
                 obs[sel, col + 3 + h : col + 3 + 2 * h] = f_ghi / _GHI_SCALE
 
     # -------------------------------------------------------------- stepping
-    def _step_kernel(self, levels, temp_out, ghi, price, occupied, gains, active):
-        """Every RNG-free array operation of one control step.
-
-        Plant response, thermal advance, comfort accounting and reward
-        shaping over the static fleet columns and the current zone
-        temperatures; the arithmetic mirrors the scalar envs' step
-        operation for operation.
-        """
-        temps = self._temps
-        supply = self._supply_temp
-        oaf = self._oaf
-        comfort_w = self._comfort_weight
-        cost_w = self._cost_weight
-        zone_mask = self.zone_mask
-        dt_hours = self._dt_hours
-
-        # Plant response (mirrors VAVSystem.zone_heat_w / electric_power_w).
-        flows = np.take_along_axis(self._flow_table, levels, axis=1)
-        hvac_heat = flows * AIR_CP_J_PER_KG_K * (supply[:, None] - temps)
-        total_flow = np.sum(flows, axis=1)
-        frac = total_flow / self._plant_max_flow
-        fan_power = self._fan_scale * np.power(frac, 3)
-        safe_total = np.where(total_flow > 0.0, total_flow, 1.0)
-        return_temp = np.sum(flows * temps, axis=1) / safe_total
-        mixed = (1.0 - oaf) * return_temp + oaf * temp_out
-        delta = np.maximum(mixed - supply, 0.0)
-        coil_power = np.where(
-            total_flow > 0.0,
-            total_flow * AIR_CP_J_PER_KG_K * delta / self._cop,
-            0.0,
-        )
-        power_w = fan_power + coil_power
-        energy_kwh = power_w * self.dt_seconds / 3.6e6
-        cost_usd = energy_kwh * price
-
-        # Thermal advance (solar + internal + HVAC heat, zero-order held).
-        net = self.batch_net
-        decay, gain = net._propagators(self.dt_seconds)
-        heat = self._aperture * ghi[:, None] + gains + hvac_heat
-        stepped = advance(
-            decay, gain, temps, temp_out, heat, net.capacitance, net.ua_ambient
-        )
-        new_temps = np.where(active[:, None], stepped, temps)
-
-        # Comfort accounting on end-of-step temperatures.
-        low = np.where(occupied, self._occ_low, self._set_low)
-        high = np.where(occupied, self._occ_high, self._set_high)
-        violations = np.maximum(0.0, np.maximum(new_temps - high, low - new_temps))
-        violations = np.where(zone_mask, violations, 0.0)
-        violation_deg_hours = np.sum(violations, axis=1) * dt_hours
-
-        reward = -cost_w * cost_usd - comfort_w * violation_deg_hours
-        cost_share = np.where(
-            total_flow[:, None] > 0.0,
-            flows / safe_total[:, None],
-            zone_mask / self.n_zones[:, None],
-        )
-        reward_per_zone = (
-            -cost_w[:, None] * cost_usd[:, None] * cost_share
-            - comfort_w[:, None] * violations * dt_hours
-        )
-        reward = np.where(active, reward, 0.0)
-        return (
-            new_temps,
-            power_w,
-            energy_kwh,
-            cost_usd,
-            violations,
-            violation_deg_hours,
-            reward,
-            reward_per_zone,
-        )
-
     def _coerce_actions(self, actions) -> np.ndarray:
         if isinstance(actions, (list, tuple)) and actions and np.ndim(actions[0]) > 0:
             levels = np.zeros((self.n_envs, self.max_zones), dtype=int)
@@ -636,18 +528,15 @@ class VectorHVACEnv:
         gains = self._gains[rows, i]
         day = self._day[rows, i]
         hour = self._hour[rows, i]
-        (
-            new_temps,
-            power_w,
-            energy_kwh,
-            cost_usd,
-            violations,
-            violation_deg_hours,
-            reward,
-            reward_per_zone,
-        ) = self._step_kernel(levels, temp_out, ghi, price, occupied, gains, active)
+        net = self.batch_net
+        decay, gain = net._propagators(self.dt_seconds)
+        stepped, power_w, out = step_rows(
+            self._cols, net, decay, gain, levels, self._temps,
+            temp_out, ghi, price, occupied, gains, self.dt_seconds,
+        )
 
         # Freeze finished envs (autoreset=False) and advance the rest.
+        new_temps = np.where(active[:, None], stepped, self._temps)
         self._temps = new_temps
         self._idx = i + active.astype(int)
         self._steps_taken += active.astype(int)
@@ -658,12 +547,12 @@ class VectorHVACEnv:
         self._assemble_obs(rows[active])
 
         info = BatchStepInfo(
-            energy_kwh=np.where(active, energy_kwh, 0.0),
-            cost_usd=np.where(active, cost_usd, 0.0),
+            energy_kwh=np.where(active, out.energy_kwh, 0.0),
+            cost_usd=np.where(active, out.cost_usd, 0.0),
             power_w=np.where(active, power_w, 0.0),
-            violation_deg_hours=np.where(active, violation_deg_hours, 0.0),
-            violation_per_zone_deg=violations * active[:, None],
-            reward_per_zone=reward_per_zone * active[:, None],
+            violation_deg_hours=np.where(active, out.violation_deg_hours, 0.0),
+            violation_per_zone_deg=out.violations * active[:, None],
+            reward_per_zone=out.reward_per_zone * active[:, None],
             temps_c=new_temps.copy(),
             temp_out_c=temp_out,
             ghi_w_m2=ghi,
@@ -684,6 +573,7 @@ class VectorHVACEnv:
         else:
             self._done |= newly_done
         dones = newly_done | (~active)
+        reward = np.where(active, out.reward, 0.0)
         return self._last_obs.copy(), reward, dones, info
 
     # -------------------------------------------------------- checkpointing

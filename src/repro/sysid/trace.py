@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.agent import AgentBase
 from repro.env.hvac_env import HVACEnv
+from repro.env.kernel import plant
 from repro.utils.seeding import RandomState
 from repro.utils.validation import check_positive
 
@@ -93,13 +94,18 @@ def collect_trace(
         pre_temp = float(env.zone_temps_c[zone])
         action = policy.select_action(obs)
         levels = np.atleast_1d(np.asarray(action, dtype=int))
-        heat = env.vav.zone_heat_w(levels, env.zone_temps_c)[zone]
+        _, heat, _ = plant(
+            env._cols,
+            levels[None],
+            env.zone_temps_c[None],
+            env.weather.temp_out_c[env.time_index],
+        )
         obs, _, done, info = env.step(action)
         before.append(pre_temp)
         after.append(float(info["temps_c"][zone]))
         temp_out.append(float(info["temp_out_c"]))
         ghi.append(float(info["ghi_w_m2"]))
-        hvac.append(float(heat))
+        hvac.append(float(heat[0, zone]))
         occupied.append(bool(info["occupied"][zone]))
         if done and len(before) < n_steps:
             obs = env.reset()

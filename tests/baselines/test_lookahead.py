@@ -1,5 +1,7 @@
 """Tests for the model-based myopic lookahead reference."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -15,17 +17,38 @@ class TestLookahead:
         assert single_zone_env.action_space.contains(oracle.select_action(obs))
 
     def test_one_step_reward_matches_env(self, single_zone_env):
-        """The internal simulation must agree exactly with env.step."""
-        obs = single_zone_env.reset()
-        oracle = LookaheadController(single_zone_env)
-        for level in range(4):
-            predicted = oracle._one_step_reward(np.array([level]))
-            # Re-create an identical env to apply the action for real.
-            import copy
+        """Every level's predicted reward is exactly what env.step returns."""
+        env = single_zone_env
+        env.reset()
+        oracle = LookaheadController(env)
+        for _ in range(3):  # a few states along one trajectory
+            predicted = oracle.candidate_rewards()
+            assert predicted.shape == (4,)
+            for level in range(4):
+                _, actual, _, _ = copy.deepcopy(env).step([level])
+                assert predicted[level] == actual, f"level {level}"
+            env.step([2])
 
-            env_copy = copy.deepcopy(single_zone_env)
-            _, actual, _, _ = env_copy.step([level])
-            assert predicted == pytest.approx(actual, rel=1e-9), f"level {level}"
+    def test_one_step_reward_matches_env_four_zone(self, four_zone_env):
+        env = four_zone_env
+        env.reset()
+        for _ in range(20):  # move off the reset state
+            env.step(env.action_space.sample(np.random.default_rng(0)))
+        oracle = LookaheadController(env)
+        predicted = oracle.candidate_rewards()
+        assert predicted.shape == (env.action_space.n_joint,)
+        sample = np.random.default_rng(5).choice(len(predicted), 24, replace=False)
+        for joint in [0, len(predicted) - 1, *sample]:
+            levels = env.action_space.unflatten(joint)
+            _, actual, _, _ = copy.deepcopy(env).step(levels)
+            assert predicted[joint] == actual, f"joint action {levels}"
+
+    def test_picks_the_best_candidate(self, four_zone_env):
+        four_zone_env.reset()
+        oracle = LookaheadController(four_zone_env)
+        rewards = oracle.candidate_rewards()
+        action = oracle.select_action(None)
+        assert rewards[four_zone_env.action_space.flatten(action)] == rewards.max()
 
     def test_beats_random_on_immediate_reward(self, single_zone_env):
         oracle = LookaheadController(single_zone_env)

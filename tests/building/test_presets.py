@@ -41,10 +41,8 @@ class TestFourZone:
     def test_south_zone_warms_faster_in_sun(self):
         b = four_zone_office()
         temps = np.full(4, 24.0)
-        out = b.step(
-            temps, temp_out_c=30.0, ghi_w_m2=800.0, hvac_heat_w=np.zeros(4),
-            day_of_year=1, hour_of_day=12.0, dt_seconds=900.0,
-        )
+        heat = b.solar_gains_w(800.0) + b.internal_gains_w(1, 12.0)
+        out = b.network.step(temps, 30.0, heat, 900.0)
         names = b.zone_names
         assert out[names.index("south")] > out[names.index("north")]
 

@@ -5,13 +5,16 @@ energy bookkeeping, and plant/coil consistency, checked across random
 action sequences.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.building import four_zone_office, single_zone_building
-from repro.env import HVACEnv, HVACEnvConfig
+from repro.env import ComfortBand, HVACEnv, HVACEnvConfig
+from repro.env.kernel import plant, step_columns
 from repro.hvac import VAVConfig, VAVSystem
 from repro.weather import SyntheticWeatherConfig, generate_weather
 
@@ -76,11 +79,19 @@ def test_reward_never_positive(seed):
 def test_coil_thermal_balances_zone_extraction_when_no_outdoor_air():
     """With 0% outdoor air, the coil removes exactly the heat the supply
     air absorbs from the zones (sensible balance of the air loop)."""
-    vav = VAVSystem(VAVConfig(outdoor_air_fraction=0.0, cop=1.0), 2)
-    temps = np.array([26.0, 24.0])
-    levels = [2, 3]
-    coil_thermal = vav.coil_power_w(levels, temps, 35.0)  # cop=1 -> thermal
-    zone_heat = vav.zone_heat_w(levels, temps)
+    zones = [SimpleNamespace(solar_aperture_m2=0.0)] * 2
+    env = SimpleNamespace(
+        building=SimpleNamespace(n_zones=2, zones=zones),
+        vav=VAVSystem(VAVConfig(outdoor_air_fraction=0.0, cop=1.0), 2),
+        comfort=ComfortBand(),
+        config=HVACEnvConfig(),
+    )
+    cols = step_columns([env])
+    levels = np.array([[2, 3]])
+    temps = np.array([[26.0, 24.0]])
+    _, zone_heat, power = plant(cols, levels, temps, 35.0)
+    _, _, fan = plant(cols, levels, np.full((1, 2), 5.0), 5.0)  # coil off
+    coil_thermal = power[0] - fan[0]  # cop=1 -> thermal
     assert coil_thermal == pytest.approx(-zone_heat.sum(), rel=1e-9)
 
 

@@ -11,15 +11,6 @@ class TestFlat:
         assert t.price_per_kwh(1, 0.0) == 0.15
         assert t.price_per_kwh(200, 18.0) == 0.15
 
-    def test_energy_cost(self):
-        t = FlatTariff(rate_per_kwh=0.10)
-        # 1 kW for 1 hour = 1 kWh = $0.10.
-        assert t.energy_cost_usd(1000.0, 3600.0, 1, 12.0) == pytest.approx(0.10)
-
-    def test_cost_rejects_negative_power(self):
-        with pytest.raises(ValueError, match="power_w"):
-            FlatTariff().energy_cost_usd(-1.0, 900.0, 1, 12.0)
-
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             FlatTariff(rate_per_kwh=0.0)

@@ -37,12 +37,14 @@ class TestBatchRCNetwork:
             # Padded zones stay identically zero.
             assert np.all(out[k, m:] == 0.0)
 
-    def test_masks_and_shapes(self, rng):
+    def test_padding_and_shapes(self, rng):
         nets = [_random_network(rng, z) for z in (1, 3)]
         batch = BatchRCNetwork(nets)
         assert batch.n_envs == 2
         assert batch.max_zones == 3
-        assert batch.zone_mask.tolist() == [[True, False, False], [True, True, True]]
+        # Padded zones: unit capacitance, no conductance to ambient.
+        assert batch.capacitance[0, 1:].tolist() == [1.0, 1.0]
+        assert batch.ua_ambient[0, 1:].tolist() == [0.0, 0.0]
 
     def test_propagator_cache_reused(self, rng):
         batch = BatchRCNetwork([_random_network(rng, 2)])

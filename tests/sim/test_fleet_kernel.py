@@ -1,9 +1,9 @@
-"""The fleet's single RC update and its fused numpy step kernel.
+"""The fleet's single RC update and the control-step kernel it runs.
 
-:func:`~repro.sim.batch_thermal.advance` is the one RC update shared by
-:class:`~repro.sim.BatchRCNetwork` and the step kernel of
-:class:`~repro.sim.VectorHVACEnv`.  These tests pin that sharing down
-bit for bit, and check that a fleet's rows are independent of each
+:func:`~repro.env.kernel.advance` is the one RC update shared by
+:class:`~repro.sim.BatchRCNetwork` and the control-step kernel that
+:class:`~repro.sim.VectorHVACEnv` steps.  These tests pin that sharing
+down bit for bit, and check that a fleet's rows are independent of each
 other: a building steps to the same bytes whether it runs alone or next
 to others.
 """
@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from repro.building.thermal import RCNetwork
+from repro.env.kernel import advance, step_rows
 from repro.hvac.vav import AIR_CP_J_PER_KG_K
 from repro.sim import BatchRCNetwork, VectorHVACEnv
-from repro.sim.batch_thermal import advance
 from repro.sim.golden import golden_actions
 from repro.sim.scenarios import build_fleet, get_scenario
 
@@ -105,7 +105,8 @@ class TestAdvance:
             temps = advance(
                 decay, gain, temps, temp_out, heat, batch.capacitance, batch.ua_ambient
             )
-            assert np.all(temps[~batch.zone_mask] == 0.0)
+            for k, net in enumerate(nets):
+                assert np.all(temps[k, net.n_zones :] == 0.0)
             assert np.all(np.isfinite(temps))
 
     def test_leaves_inputs_untouched(self, rng):
@@ -140,7 +141,7 @@ class TestStepKernel:
             before = vec.zone_temps_c.copy()
             obs, rewards, dones, info = vec.step([a[t] for a in actions])
             heat = (
-                vec._aperture * info.ghi_w_m2[:, None]
+                vec._cols.aperture * info.ghi_w_m2[:, None]
                 + vec._gains[np.arange(vec.n_envs), vec._idx - 1]
                 + _hvac_heat(vec, info.levels, before)
             )
@@ -152,31 +153,35 @@ class TestStepKernel:
     def test_inactive_rows_are_frozen(self):
         vec = _fleet([3, 4])
         vec.reset()
+        vec._done[1] = True  # env 1 finished (autoreset=False freezes it)
+        temps_before = vec.zone_temps_c
+        levels = np.ones((vec.n_envs, vec.max_zones), dtype=int)
+        _, reward, dones, info = vec.step(levels)
+        assert info.temps_c[1].tobytes() == temps_before[1].tobytes()
+        assert reward[1] == 0.0 and bool(dones[1])
+        assert info.cost_usd[1] == 0.0 and np.all(info.reward_per_zone[1] == 0.0)
+        assert not np.array_equal(info.temps_c[0], temps_before[0])
+
+    def test_kernel_is_pure(self):
+        vec = _fleet([3, 4])
+        vec.reset()
         rows = np.arange(vec.n_envs)
         i = vec._idx
         levels = np.ones((vec.n_envs, vec.max_zones), dtype=int)
-        active = np.array([True, False])
         temps_before = vec._temps.copy()
-        new_temps, *_, reward, reward_per_zone = vec._step_kernel(
-            levels,
-            vec._temp_out[rows, i],
-            vec._ghi[rows, i],
-            vec._price[rows, i],
-            vec._occupied[rows, i],
-            vec._gains[rows, i],
-            active,
+        decay, gain = vec.batch_net._propagators(vec.dt_seconds)
+        step_rows(
+            vec._cols, vec.batch_net, decay, gain, levels, vec._temps,
+            vec._temp_out[rows, i], vec._ghi[rows, i], vec._price[rows, i],
+            vec._occupied[rows, i], vec._gains[rows, i], vec.dt_seconds,
         )
-        assert new_temps[1].tobytes() == temps_before[1].tobytes()
-        assert reward[1] == 0.0
-        assert not np.array_equal(new_temps[0], temps_before[0])
-        # The kernel is pure: fleet state only changes in step().
+        # Fleet state only changes in step().
         assert vec._temps.tobytes() == temps_before.tobytes()
 
-    def test_batch_net_shares_fleet_columns(self):
+    def test_batch_net_shares_fleet_width(self):
         vec = _fleet([1, 2])
-        assert vec.zone_mask is vec.batch_net.zone_mask
-        assert vec.n_zones is vec.batch_net.n_zones
         assert vec.batch_net.max_zones == vec.max_zones
+        assert vec.zone_mask.shape == (vec.n_envs, vec.max_zones)
 
 
 class TestFleetDeterminism:
@@ -195,6 +200,6 @@ class TestFleetDeterminism:
 
 
 def _hvac_heat(vec, levels, temps):
-    """Per-zone HVAC heat, written out from VAVSystem.zone_heat_w."""
-    flows = vec._flow_table[np.arange(vec.n_envs)[:, None], levels]
-    return flows * AIR_CP_J_PER_KG_K * (vec._supply_temp[:, None] - temps)
+    """Per-zone HVAC heat, written out from the supply-air heat balance."""
+    flows = vec._cols.flow_table[np.arange(vec.n_envs)[:, None], levels]
+    return flows * AIR_CP_J_PER_KG_K * (vec._cols.supply_temp[:, None] - temps)

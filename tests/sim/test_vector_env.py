@@ -1,9 +1,9 @@
 """Scalar-vs-vector parity and vector-env semantics.
 
 The load-bearing guarantee: a fleet of N identical configs under the
-same seeds reproduces N independent scalar envs' trajectories to
-``atol <= 1e-10`` — observations, rewards, dones, temperatures, and
-info diagnostics alike.
+same seeds reproduces N independent scalar envs' trajectories byte for
+byte — observations, rewards, dones, temperatures, and info diagnostics
+alike — because both step through the same control-step kernel.
 """
 
 import numpy as np
@@ -13,8 +13,23 @@ from repro.baselines import ThermostatController
 from repro.building import four_zone_office, single_zone_building
 from repro.env import HVACEnv, HVACEnvConfig
 from repro.sim import VectorHVACEnv
+from repro.sim.scenarios import build_fleet, get_scenario, list_scenarios
 
-ATOL = 1e-10
+SCALAR_INFO = ("cost_usd", "energy_kwh", "violation_deg_hours", "power_w")
+ARRAY_INFO = (
+    "violation_per_zone_deg",
+    "reward_per_zone",
+    "temps_c",
+    "occupied",
+    "levels",
+)
+
+
+def _same(a, b, what):
+    """Exact equality, down to the sign of zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape, what
+    assert a.tobytes() == b.tobytes(), f"{what}: {a!r} != {b!r}"
 
 
 def _make_env(weather, seed, builder=single_zone_building, **cfg):
@@ -22,30 +37,31 @@ def _make_env(weather, seed, builder=single_zone_building, **cfg):
     return HVACEnv(builder(), weather, config=HVACEnvConfig(**cfg), rng=seed)
 
 
+def _assert_step_equal(k, env, vec_step, scalar_step):
+    """Env ``k``'s row of a fleet step equals its scalar step exactly."""
+    obs_v, rew_v, done_v, info = vec_step
+    obs_k, rew_k, done_k, info_k = scalar_step
+    _same(obs_v[k, : env.obs_dim], obs_k, f"env {k} obs")
+    _same(rew_v[k], np.float64(rew_k), f"env {k} reward")
+    assert bool(done_v[k]) == done_k
+    vec_info = info.per_env(k, env.building.n_zones)
+    for field in SCALAR_INFO:
+        _same(np.float64(vec_info[field]), np.float64(info_k[field]), field)
+    for field in ARRAY_INFO:
+        _same(vec_info[field], info_k[field], field)
+    assert vec_info["day_of_year"] == info_k["day_of_year"]
+    assert vec_info["hour_of_day"] == info_k["hour_of_day"]
+
+
 def _run_parity(vec, scalars, n_steps, action_rng):
     obs_v = vec.reset()
     obs_s = np.stack([env.reset() for env in scalars])
-    np.testing.assert_allclose(obs_v, obs_s, atol=ATOL)
+    _same(obs_v, obs_s, "reset obs")
     for _ in range(n_steps):
         actions = np.stack([env.action_space.sample(action_rng) for env in scalars])
-        obs_v, rew_v, done_v, info = vec.step(actions)
+        vec_step = vec.step(actions)
         for k, env in enumerate(scalars):
-            obs_k, rew_k, done_k, info_k = env.step(actions[k])
-            np.testing.assert_allclose(obs_v[k], obs_k, atol=ATOL)
-            assert rew_v[k] == pytest.approx(rew_k, abs=ATOL)
-            assert bool(done_v[k]) == done_k
-            vec_info = info.per_env(k, env.building.n_zones)
-            for field in ("cost_usd", "energy_kwh", "violation_deg_hours", "power_w"):
-                assert vec_info[field] == pytest.approx(info_k[field], abs=ATOL)
-            np.testing.assert_allclose(
-                vec_info["temps_c"], info_k["temps_c"], atol=ATOL
-            )
-            np.testing.assert_allclose(
-                vec_info["reward_per_zone"], info_k["reward_per_zone"], atol=ATOL
-            )
-            np.testing.assert_array_equal(vec_info["occupied"], info_k["occupied"])
-            assert vec_info["day_of_year"] == info_k["day_of_year"]
-            assert vec_info["hour_of_day"] == pytest.approx(info_k["hour_of_day"])
+            _assert_step_equal(k, env, vec_step, env.step(actions[k]))
 
 
 class TestScalarVectorParity:
@@ -90,6 +106,27 @@ class TestScalarVectorParity:
         ]
         _run_parity(vec, scalars, 40, np.random.default_rng(5 + sweep_seed % 97))
 
+    @pytest.mark.parametrize("scenario", list_scenarios())
+    def test_every_preset_through_autoreset(self, scenario):
+        """Three autoreset episodes of every registered preset, every
+        obs, reward and info field byte-equal to the scalar envs'."""
+        seeds = [3, 4]
+        vec = VectorHVACEnv(build_fleet(get_scenario(scenario), seeds))
+        scalars = build_fleet(get_scenario(scenario), seeds)
+        action_rng = np.random.default_rng(1)
+        obs_v = vec.reset()
+        for k, env in enumerate(scalars):
+            _same(obs_v[k, : env.obs_dim], env.reset(), f"env {k} reset obs")
+        for _ in range(3 * scalars[0].episode_steps):
+            actions = [env.action_space.sample(action_rng) for env in scalars]
+            vec_step = vec.step(actions)
+            for k, env in enumerate(scalars):
+                obs_k, rew_k, done_k, info_k = env.step(actions[k])
+                if done_k:
+                    _same(vec_step[3].terminal_obs[k, : env.obs_dim], obs_k, "terminal")
+                    obs_k = env.reset()
+                _assert_step_equal(k, env, vec_step, (obs_k, rew_k, done_k, info_k))
+
     def test_autoreset_matches_scalar_reset_cycle(self, summer_weather):
         """Across an episode boundary, autoreset rows equal a scalar
         reset's first observation (same RNG consumption)."""
@@ -102,9 +139,9 @@ class TestScalarVectorParity:
             obs_v, _, done_v, info = vec.step(action)
             obs_s, _, done_s, _ = scalar.step(action[0])
             if done_s:
-                np.testing.assert_allclose(info.terminal_obs[0], obs_s, atol=ATOL)
+                _same(info.terminal_obs[0], obs_s, "terminal obs")
                 obs_s = scalar.reset()
-            np.testing.assert_allclose(obs_v[0], obs_s, atol=ATOL)
+            _same(obs_v[0], obs_s, "obs")
         assert bool(done_v[0]) or vec.time_indices[0] > 0
 
 
@@ -194,7 +231,7 @@ class TestVectorEnvSemantics:
         view = vec.env_view(0)
         vec.reset()
         scalar.reset()
-        assert view.zone_temps_c == pytest.approx(scalar.zone_temps_c, abs=ATOL)
+        _same(view.zone_temps_c, scalar.zone_temps_c, "view temps")
         thermostat = ThermostatController(view)
         action = thermostat.select_action(None)
         assert action.shape == (1,)

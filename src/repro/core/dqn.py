@@ -171,11 +171,17 @@ class DQNAgent(AgentBase):
         # vector, the uniform-replay weight vector (all ones, never
         # written), and the dense gradient buffer whose touched entries
         # are re-zeroed after each backward pass — so the hot loop
-        # allocates no O(batch x actions) arrays.
+        # allocates no O(batch x actions) arrays.  The training passes
+        # and the stacked-observation buffer are built at the first
+        # learn step (see _build_passes), so agents that only act or
+        # serve never pay for them.
         batch = self.config.batch_size
         self._batch_rows = np.arange(batch)
         self._uniform_weights = np.ones(batch)
         self._grad_scratch = np.zeros((batch, self.n_actions))
+        self._online_pass: Optional[nn.TrainingPass] = None
+        self._target_pass: Optional[nn.TrainingPass] = None
+        self._stacked_obs: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------- policies
     @property
@@ -282,28 +288,6 @@ class DQNAgent(AgentBase):
             )
         ]
 
-    def _td_targets(
-        self, batch: dict, rows: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Bootstrapped TD(0) targets for a sampled batch, in one pass.
-
-        The target-network forward feeds the (double-)DQN gather/max
-        directly; ``rows`` lets the hot loop pass its preallocated
-        row-index vector instead of re-building an ``arange`` per step.
-        """
-        cfg = self.config
-        bootstrap_net = self.target if cfg.use_target_network else self.online
-        q_next = bootstrap_net.forward(batch["next_obs"])
-        if cfg.double_dqn and cfg.use_target_network:
-            best = np.argmax(self.online.forward(batch["next_obs"]), axis=1)
-            if rows is None:
-                rows = np.arange(len(best))
-            next_value = q_next[rows, best]
-        else:
-            next_value = q_next.max(axis=1)
-        not_done = ~batch["dones"]
-        return batch["rewards"] + cfg.gamma * not_done * next_value
-
     def learn(self) -> Optional[float]:
         """One replay-sampled gradient step on the Huber TD loss.
 
@@ -318,15 +302,38 @@ class DQNAgent(AgentBase):
             return None
         return self._learn_step(self.total_steps)
 
+    def _build_passes(self) -> None:
+        """Allocate the training passes the learn step runs through.
+
+        The online net's pass forwards ``[obs; next_obs]`` stacked
+        whenever the bootstrap reads online Q-values of ``next_obs``
+        (double DQN, or no target network), and backpropagates from the
+        ``obs`` half; the target net gets a forward-only pass.
+        """
+        cfg = self.config
+        batch = cfg.batch_size
+        stacked = cfg.double_dqn or not cfg.use_target_network
+        if stacked:
+            self._stacked_obs = np.zeros((2 * batch, self.obs_dim))
+        self._online_pass = nn.TrainingPass(
+            self.online, 2 * batch if stacked else batch, grad_rows=batch
+        )
+        if cfg.use_target_network:
+            self._target_pass = nn.TrainingPass(self.target, batch)
+
     def _learn_step(self, step: int) -> float:
         """The gradient step itself (gating already passed).
 
         ``step`` is the agent-step the update is attributed to — it
         drives the prioritized-replay β anneal.  One fused pass: sample,
-        bootstrap targets, weighted-Huber gradient through the reused
-        scratch buffer, optimizer step, priority refresh.
+        one stacked online forward, bootstrapped TD(0) targets,
+        weighted-Huber gradient through the reused scratch buffer,
+        backward into the optimizer's packed grads, optimizer step,
+        priority refresh, target sync.
         """
         cfg = self.config
+        if self._online_pass is None:
+            self._build_passes()
         prioritized = isinstance(self.buffer, PrioritizedReplayBuffer)
         if prioritized:
             beta = self._beta_schedule.value(step)
@@ -337,10 +344,29 @@ class DQNAgent(AgentBase):
             weights = self._uniform_weights
         actions = batch["actions"][:, 0]
         rows = self._batch_rows
-        targets = self._td_targets(batch, rows)
+        n = cfg.batch_size
 
-        q_all = self.online.forward(batch["obs"])
-        pred = q_all[rows, actions]
+        stacked = self._stacked_obs
+        if stacked is not None:
+            stacked[:n] = batch["obs"]
+            stacked[n:] = batch["next_obs"]
+            q = self._online_pass.forward(stacked)
+        else:
+            q = self._online_pass.forward(batch["obs"])
+        # Bootstrapped TD(0) targets; double DQN picks the next action
+        # with the online net and evaluates it with the target net.
+        if not cfg.use_target_network:
+            next_value = q[n:].max(axis=1)
+        else:
+            q_next = self._target_pass.forward(batch["next_obs"])
+            if cfg.double_dqn:
+                next_value = q_next[rows, np.argmax(q[n:], axis=1)]
+            else:
+                next_value = q_next.max(axis=1)
+        not_done = ~batch["dones"]
+        targets = batch["rewards"] + cfg.gamma * not_done * next_value
+
+        pred = q[rows, actions]
         td_error = pred - targets
         # Weighted Huber: quadratic within 1 of the target, linear outside.
         abs_td = np.abs(td_error)
@@ -350,9 +376,8 @@ class DQNAgent(AgentBase):
 
         grad = self._grad_scratch
         grad[rows, actions] = dpred
-        self.optimizer.zero_grad()
-        self.online.backward(grad)
-        nn.clip_gradients(self.online.parameters(), cfg.grad_clip_norm)
+        self._online_pass.backward(grad)
+        nn.clip_gradients(self.optimizer.params, cfg.grad_clip_norm)
         self.optimizer.step()
         # Re-zero only the touched entries — O(batch), not O(batch x
         # actions) — so the scratch is clean for the next step.

@@ -104,6 +104,18 @@ class FactoredDQNAgent(AgentBase):
         )
         self.total_steps = 0
         self.total_updates = 0
+        # Per-step scratch: the row-index vector and one dense gradient
+        # buffer, viewed as a C-contiguous (batch, levels) array per head;
+        # each head re-zeros its touched entries after its backward pass.
+        # The per-head training passes are built at the first learn step.
+        batch = self.config.batch_size
+        self._batch_rows = np.arange(batch)
+        grad_flat = np.zeros(batch * max(self.levels_per_zone))
+        self._grad_scratch = [
+            grad_flat[: batch * n].reshape(batch, n) for n in self.levels_per_zone
+        ]
+        self._passes: Optional[List[tuple]] = None
+        self._stacked_obs: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------- policies
     @property
@@ -239,37 +251,64 @@ class FactoredDQNAgent(AgentBase):
             return None
         return self._learn_step()
 
+    def _build_passes(self) -> None:
+        """Allocate each head's online and target training passes.
+
+        With double DQN the online passes forward ``[obs; next_obs]``
+        stacked (one buffer shared by every head) and backpropagate from
+        the ``obs`` half.
+        """
+        batch = self.config.batch_size
+        rows = 2 * batch if self.config.double_dqn else batch
+        if self.config.double_dqn:
+            self._stacked_obs = np.zeros((rows, self.obs_dim))
+        self._passes = [
+            (
+                nn.TrainingPass(online, rows, grad_rows=batch),
+                nn.TrainingPass(target, batch),
+            )
+            for online, target in zip(self.online, self.target)
+        ]
+
     def _learn_step(self) -> float:
         """The per-head gradient steps themselves (gating already passed)."""
         cfg = self.config
-        batch = self.buffer.sample(cfg.batch_size, self._sample_rng)
+        if self._passes is None:
+            self._build_passes()
+        n = cfg.batch_size
+        batch = self.buffer.sample(n, self._sample_rng)
         not_done = ~batch["dones"]
-        rows = np.arange(cfg.batch_size)
+        rows = self._batch_rows
         rewards = batch["rewards"]
         if rewards.ndim == 1:  # single-zone buffers squeeze the reward dim
             rewards = rewards[:, None]
+        x = self._stacked_obs
+        if x is not None:
+            x[:n] = batch["obs"]
+            x[n:] = batch["next_obs"]
+        else:
+            x = batch["obs"]
 
         total_loss = 0.0
-        for z in range(self.n_zones):
-            online, target, opt = self.online[z], self.target[z], self.optimizers[z]
-            q_next = target.forward(batch["next_obs"])
+        for z, (online_pass, target_pass) in enumerate(self._passes):
+            opt = self.optimizers[z]
+            q = online_pass.forward(x)
+            q_next = target_pass.forward(batch["next_obs"])
             if cfg.double_dqn:
-                best = np.argmax(online.forward(batch["next_obs"]), axis=1)
-                next_value = q_next[rows, best]
+                next_value = q_next[rows, np.argmax(q[n:], axis=1)]
             else:
                 next_value = q_next.max(axis=1)
             targets = rewards[:, z] + cfg.gamma * not_done * next_value
 
-            q_all = online.forward(batch["obs"])
             actions = batch["actions"][:, z]
-            pred = q_all[rows, actions]
+            pred = q[rows, actions]
             loss, dpred = nn.huber_loss(pred, targets, return_grad=True)
-            grad = np.zeros_like(q_all)
+            grad = self._grad_scratch[z]
             grad[rows, actions] = dpred
-            opt.zero_grad()
-            online.backward(grad)
-            nn.clip_gradients(online.parameters(), cfg.grad_clip_norm)
+            online_pass.backward(grad)
+            nn.clip_gradients(opt.params, cfg.grad_clip_norm)
             opt.step()
+            grad[rows, actions] = 0.0
             total_loss += float(loss)
 
         self.total_updates += 1

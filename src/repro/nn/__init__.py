@@ -3,8 +3,11 @@
 The DAC'17 paper's controller is a multi-layer perceptron Q-network.  No
 GPU framework is assumed here: layers implement ``forward``/``backward``
 explicitly, and optimizers consume the per-parameter gradients that
-``backward`` accumulates.  Gradient correctness is property-tested against
-finite differences in ``tests/nn``.
+``backward`` accumulates.  Optimizers pack their parameters into flat
+buffers; :class:`TrainingPass` is the agents' allocation-free
+forward/backward over a fixed batch, byte-identical to the layers'.
+Gradient correctness is property-tested against finite differences in
+``tests/nn``.
 
 Typical usage::
 
@@ -23,6 +26,7 @@ from repro.nn.network import MLP
 from repro.nn.dueling import DuelingMLP
 from repro.nn.optim import SGD, Adam, Momentum, Optimizer, RMSProp, clip_gradients
 from repro.nn.parameter import Parameter
+from repro.nn.train_pass import TrainingPass
 from repro.nn.serialization import (
     decode_array,
     encode_array,
@@ -42,6 +46,7 @@ __all__ = [
     "MLP",
     "DuelingMLP",
     "Parameter",
+    "TrainingPass",
     "he_uniform",
     "xavier_uniform",
     "zeros_init",

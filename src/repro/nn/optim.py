@@ -1,14 +1,15 @@
 """First-order optimizers over :class:`~repro.nn.parameter.Parameter` lists.
 
 Optimizers mutate ``param.value`` in place using the gradient accumulated
-in ``param.grad``.  Internal state (momentum buffers, Adam moments) is
-keyed by position in the parameter list, so the list must stay stable for
-the lifetime of the optimizer — which it does for our static MLPs.
+in ``param.grad``; both are views into buffers the optimizer packs at
+construction.  Internal state (momentum buffers, Adam moments) is keyed
+by position in the parameter list, so the list must stay stable for the
+lifetime of the optimizer — which it does for our static MLPs.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +35,18 @@ def clip_gradients(params: Sequence[Parameter], max_norm: float) -> float:
 
 
 class Optimizer:
-    """Base optimizer holding a parameter list and a learning rate."""
+    """Base optimizer holding a packed parameter list and a learning rate.
+
+    The optimizer packs the parameters it manages: their values live in
+    one flat buffer and their gradients in another, and each
+    ``Parameter.value`` / ``.grad`` is rebound to a reshaped view of its
+    slice.  Layers keep reading and writing their parameters as before,
+    while :meth:`zero_grad` is one ``fill`` and every update below runs
+    as a few whole-buffer elementwise ops — bit-identical to the
+    per-parameter formulation (no cross-element reductions are involved)
+    but paying NumPy dispatch once per optimizer rather than once per
+    parameter, which dominates at this library's network sizes.
+    """
 
     def __init__(self, params: Sequence[Parameter], lr: float) -> None:
         if lr <= 0:
@@ -43,6 +55,22 @@ class Optimizer:
         if not self.params:
             raise ValueError("optimizer needs at least one parameter")
         self.lr = float(lr)
+        self._value_flat, values = self._flat_views()
+        self._grad_flat, grads = self._flat_views()
+        for p, value, grad in zip(self.params, values, grads):
+            np.copyto(value, p.value)
+            np.copyto(grad, p.grad)
+            p.value, p.grad = value, grad
+
+    def _flat_views(self) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """A zeroed flat buffer and its per-parameter reshaped views."""
+        flat = np.zeros(sum(p.size for p in self.params))
+        views = []
+        offset = 0
+        for p in self.params:
+            views.append(flat[offset : offset + p.size].reshape(p.shape))
+            offset += p.size
+        return flat, views
 
     def step(self) -> None:
         """Apply one update using the currently accumulated gradients."""
@@ -50,16 +78,14 @@ class Optimizer:
 
     def zero_grad(self) -> None:
         """Reset gradients of all managed parameters."""
-        for p in self.params:
-            p.zero_grad()
+        self._grad_flat.fill(0.0)
 
 
 class SGD(Optimizer):
     """Vanilla stochastic gradient descent."""
 
     def step(self) -> None:
-        for p in self.params:
-            p.value -= self.lr * p.grad
+        self._value_flat -= self.lr * self._grad_flat
 
 
 class Momentum(Optimizer):
@@ -70,13 +96,13 @@ class Momentum(Optimizer):
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = float(momentum)
-        self._velocity = [np.zeros_like(p.value) for p in self.params]
+        self._velocity_flat, self._velocity = self._flat_views()
 
     def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            v *= self.momentum
-            v -= self.lr * p.grad
-            p.value += v
+        v = self._velocity_flat
+        v *= self.momentum
+        v -= self.lr * self._grad_flat
+        self._value_flat += v
 
 
 class RMSProp(Optimizer):
@@ -94,25 +120,21 @@ class RMSProp(Optimizer):
             raise ValueError(f"decay must be in [0, 1), got {decay}")
         self.decay = float(decay)
         self.eps = float(eps)
-        self._mean_sq = [np.zeros_like(p.value) for p in self.params]
+        self._mean_sq_flat, self._mean_sq = self._flat_views()
 
     def step(self) -> None:
-        for p, ms in zip(self.params, self._mean_sq):
-            ms *= self.decay
-            ms += (1.0 - self.decay) * p.grad**2
-            p.value -= self.lr * p.grad / (np.sqrt(ms) + self.eps)
+        g, ms = self._grad_flat, self._mean_sq_flat
+        ms *= self.decay
+        ms += (1.0 - self.decay) * g**2
+        self._value_flat -= self.lr * g / (np.sqrt(ms) + self.eps)
 
 
 class Adam(Optimizer):
     """Adam with bias-corrected first and second moments.
 
-    The moments live in one flat buffer per kind, with the per-parameter
-    arrays exposed as reshaped views (``_m`` / ``_v``, the layout the
-    checkpoint format serializes).  :meth:`step` then runs the update as
-    a handful of whole-buffer elementwise ops — bit-identical to the
-    per-parameter formulation (no cross-element reductions are involved)
-    but paying NumPy dispatch once per optimizer rather than once per
-    parameter, which dominates at this library's network sizes.
+    The moments are flat buffers too, with per-parameter views (``_m`` /
+    ``_v``, the layout the checkpoint format serializes).  :meth:`step`
+    reads the packed gradient buffer directly and leaves it untouched.
     """
 
     def __init__(
@@ -129,21 +151,11 @@ class Adam(Optimizer):
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
-        total = sum(p.size for p in self.params)
-        self._m_flat = np.zeros(total)
-        self._v_flat = np.zeros(total)
-        self._grad_flat = np.zeros(total)  # per-step gather scratch
-        self._denom_flat = np.zeros(total)  # per-step update scratch
-        self._m = []
-        self._v = []
-        self._grad_views = []
-        offset = 0
-        for p in self.params:
-            sl = slice(offset, offset + p.size)
-            self._m.append(self._m_flat[sl].reshape(p.shape))
-            self._v.append(self._v_flat[sl].reshape(p.shape))
-            self._grad_views.append(self._grad_flat[sl].reshape(p.shape))
-            offset += p.size
+        self._m_flat, self._m = self._flat_views()
+        self._v_flat, self._v = self._flat_views()
+        # Per-step scratch: the denominator and the update itself.
+        self._denom_flat = np.zeros_like(self._value_flat)
+        self._update_flat = np.zeros_like(self._value_flat)
         self._t = 0
 
     def step(self) -> None:
@@ -151,9 +163,7 @@ class Adam(Optimizer):
         bc1 = 1.0 - self.beta1**self._t
         bc2 = 1.0 - self.beta2**self._t
         g, m, v = self._grad_flat, self._m_flat, self._v_flat
-        scratch = self._denom_flat
-        for p, gv in zip(self.params, self._grad_views):
-            np.copyto(gv, p.grad)
+        scratch, update = self._denom_flat, self._update_flat
         # m <- beta1*m + (1-beta1)*g ; v <- beta2*v + (1-beta2)*g^2
         m *= self.beta1
         np.multiply(g, 1.0 - self.beta1, out=scratch)
@@ -163,12 +173,11 @@ class Adam(Optimizer):
         scratch *= 1.0 - self.beta2
         v += scratch
         # update <- lr * (m/bc1) / (sqrt(v/bc2) + eps), left-to-right as
-        # written (g is consumed, so it doubles as the numerator buffer).
+        # written.
         np.divide(v, bc2, out=scratch)
         np.sqrt(scratch, out=scratch)
         scratch += self.eps
-        np.divide(m, bc1, out=g)
-        g *= self.lr
-        g /= scratch
-        for p, upd in zip(self.params, self._grad_views):
-            p.value -= upd
+        np.divide(m, bc1, out=update)
+        update *= self.lr
+        update /= scratch
+        self._value_flat -= update

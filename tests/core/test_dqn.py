@@ -127,6 +127,20 @@ class TestLearning:
         feed_transitions(agent, 30)
         assert agent.learn() is not None
 
+    @pytest.mark.parametrize(
+        "over, rows",
+        [({}, 16), ({"double_dqn": False}, 8), ({"use_target_network": False}, 16)],
+    )
+    def test_training_pass_built_at_first_learn_step(self, over, rows):
+        """Construction allocates no pass; double DQN and the no-target
+        variant forward [obs; next_obs] stacked through one pass."""
+        agent = make_agent(**over)
+        assert agent._online_pass is None
+        feed_transitions(agent, 30)
+        agent.learn()
+        assert (agent._online_pass.rows, agent._online_pass.grad_rows) == (rows, 8)
+        assert (agent._target_pass is None) == ("use_target_network" in over)
+
     def test_double_dqn_variant_differs_from_vanilla(self):
         # Both must run; targets differ in general.
         a = make_agent(double_dqn=True)
@@ -137,30 +151,33 @@ class TestLearning:
         assert b.learn() is not None
 
 
+def huber(d):
+    return 0.5 * d * d if abs(d) <= 1.0 else abs(d) - 0.5
+
+
 class TestTDTargets:
+    """The learn step's bootstrapped target, read back through its loss.
+
+    A one-transition buffer makes the sampled batch known, so the
+    returned loss is the Huber loss of ``Q(s, a) - target``.
+    """
+
+    def one_step_loss(self, *, gamma, reward, done):
+        agent = make_agent(gamma=gamma, batch_size=1, learn_start=1, buffer_capacity=1)
+        obs = np.zeros(5)
+        q_sa = float(agent.q_values(obs)[0])
+        agent.store(obs, np.array([0]), reward, np.ones(5), done)
+        return agent.learn(), q_sa
+
     def test_terminal_excludes_bootstrap(self):
-        agent = make_agent(gamma=0.9)
-        batch = {
-            "obs": np.zeros((2, 5)),
-            "actions": np.array([[0], [0]]),
-            "rewards": np.array([1.0, 1.0]),
-            "next_obs": np.ones((2, 5)),
-            "dones": np.array([True, False]),
-        }
-        targets = agent._td_targets(batch)
-        assert targets[0] == pytest.approx(1.0)
-        assert targets[1] != pytest.approx(1.0)
+        loss, q_sa = self.one_step_loss(gamma=0.9, reward=1.0, done=True)
+        assert loss == pytest.approx(huber(q_sa - 1.0))
+        loss, q_sa = self.one_step_loss(gamma=0.9, reward=1.0, done=False)
+        assert loss != pytest.approx(huber(q_sa - 1.0))
 
     def test_gamma_zero_is_reward(self):
-        agent = make_agent(gamma=0.0)
-        batch = {
-            "obs": np.zeros((1, 5)),
-            "actions": np.array([[0]]),
-            "rewards": np.array([3.0]),
-            "next_obs": np.ones((1, 5)),
-            "dones": np.array([False]),
-        }
-        assert agent._td_targets(batch)[0] == pytest.approx(3.0)
+        loss, q_sa = self.one_step_loss(gamma=0.0, reward=3.0, done=False)
+        assert loss == pytest.approx(huber(q_sa - 3.0))
 
 
 class TestGridworldConvergence:

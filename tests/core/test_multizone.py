@@ -78,6 +78,17 @@ class TestLearning:
         for b, net in zip(before, agent.online):
             assert not np.allclose(b, net.parameters()[0].value)
 
+    def test_heads_share_one_clean_grad_scratch(self):
+        agent = make_agent(nvec=(4, 2, 3))
+        feed(agent, 20)
+        assert agent._passes is None  # built at the first learn step
+        agent.learn()
+        base = agent._grad_scratch[0].base
+        for z, scratch in enumerate(agent._grad_scratch):
+            assert scratch.shape == (8, agent.levels_per_zone[z])
+            assert scratch.flags.c_contiguous and scratch.base is base
+        assert not base.any()
+
     def test_loss_is_mean_over_zones(self):
         agent = make_agent()
         feed(agent, 20)

@@ -96,22 +96,17 @@ class MPCController(AgentBase):
 
     # ------------------------------------------------------------- planning
     def _plan_inputs(self) -> dict:
-        """Gather the weather/occupancy/price lookahead for the horizon."""
-        env = self.env
-        idx = [
-            min(env.time_index + k, len(env.weather) - 1) for k in range(self.horizon)
-        ]
-        days = [env.weather.day_of_year(i) for i in idx]
-        hours = [env.weather.hour_of_day(i) for i in idx]
+        """Gather the weather/occupancy/price lookahead for the horizon
+        from the env's time tables (:mod:`repro.env.observation`); past
+        the trace end the last sample persists."""
+        tab = self.env._tables
+        idx = np.minimum(self.env.time_index + np.arange(self.horizon), tab.last[0])
+        temp_out, ghi, price = tab.exo[0, idx].T
         return {
-            "temp_out": env.weather.temp_out_c[idx],
-            "ghi": env.weather.ghi_w_m2[idx],
-            "occupied": np.array(
-                [env.building.occupancy(d, h)[0] for d, h in zip(days, hours)]
-            ),
-            "price": np.array(
-                [env.tariff.price_per_kwh(d, h) for d, h in zip(days, hours)]
-            ),
+            "temp_out": temp_out,
+            "ghi": ghi,
+            "occupied": tab.occupied[0, idx, 0],
+            "price": price,
         }
 
     def _scores(self, inputs: dict, temp0: float) -> np.ndarray:

@@ -88,22 +88,5 @@ class Building:
             ]
         )
 
-    def occupancy(self, day_of_year: int, hour_of_day: float) -> np.ndarray:
-        """Boolean per-zone occupancy flags at the given time."""
-        return np.array(
-            [s.occupied(day_of_year, hour_of_day) for s in self.schedules],
-            dtype=bool,
-        )
-
-    # ----------------------------------------------------------- steady state
-    def free_float_steady_state(
-        self, temp_out_c: float, ghi_w_m2: float, day_of_year: int, hour_of_day: float
-    ) -> np.ndarray:
-        """Equilibrium zone temperatures with the HVAC off."""
-        heat = self.solar_gains_w(ghi_w_m2) + self.internal_gains_w(
-            day_of_year, hour_of_day
-        )
-        return self.network.steady_state(temp_out_c, heat)
-
     def __repr__(self) -> str:
         return f"Building(zones={self.zone_names}, area={self.floor_area_m2:.0f} m2)"

@@ -15,8 +15,11 @@ Reward
     i.e. the paper's weighted trade-off between energy cost and comfort.
 
 The transition itself — plant response, RC advance, comfort and reward —
-is the shared control-step kernel (:mod:`repro.env.kernel`), stepped
-here as a single row.
+is the shared control-step kernel (:mod:`repro.env.kernel`), and the
+observation, its time tables and forecasts are
+:mod:`repro.env.observation`; the env is the one-row case of both, as
+the fleet (:class:`~repro.sim.vector_env.VectorHVACEnv`) is the
+many-row case.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from repro.env.kernel import (
     step_columns,
     step_rows,
 )
+from repro.env.observation import ObsLayout, TimeTables, encode, forecast, time_tables
 from repro.env.spaces import Box, MultiDiscrete
 from repro.hvac.tariffs import Tariff, TimeOfUseTariff
 from repro.hvac.vav import VAVConfig, VAVSystem
@@ -51,13 +55,8 @@ from repro.utils.validation import check_positive
 from repro.weather.forecast import ForecastProvider
 from repro.weather.series import SECONDS_PER_DAY, WeatherSeries
 
-# Fixed feature scalings: chosen so every observation channel is O(1).
-_TEMP_CENTER_C = 23.0
-_TEMP_SCALE_C = 10.0
-_OUT_CENTER_C = 20.0
-_OUT_SCALE_C = 15.0
-_GHI_SCALE = 1000.0
-_PRICE_SCALE = 0.30
+# The one table row of a scalar env.
+_ROW = np.zeros(1, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,6 @@ class HVACEnv(Env):
 
         self._rng = ensure_rng(rng)
         self._forecast = ForecastProvider(
-            weather,
             horizon=self.config.forecast_horizon,
             temp_noise_std_per_step=self.config.forecast_temp_noise_std,
             ghi_relative_noise_per_step=self.config.forecast_ghi_relative_noise,
@@ -156,9 +154,8 @@ class HVACEnv(Env):
 
         n = building.n_zones
         self.action_space = MultiDiscrete([vav.n_levels] * n)
-        self._obs_names = self._build_obs_names()
-        dim = len(self._obs_names)
-        self.observation_space = Box(-np.inf, np.inf, (dim,))
+        self.layout = ObsLayout(n, self.config.forecast_horizon, vav.n_levels)
+        self.observation_space = Box(-np.inf, np.inf, (self.layout.obs_dim,))
 
         self._index = 0
         self._start_index = 0
@@ -172,46 +169,30 @@ class HVACEnv(Env):
         builds its own columns for all its envs at once)."""
         return step_columns([self])
 
-    # ------------------------------------------------------------- features
-    def _build_obs_names(self) -> List[str]:
-        n = self.building.n_zones
-        names = ["sin_hour", "cos_hour", "workday"]
-        names += [f"occupied_{z}" for z in self.building.zone_names]
-        names += [f"temp_{z}" for z in self.building.zone_names]
-        names += ["temp_out", "ghi", "price"]
-        for k in range(1, self.config.forecast_horizon + 1):
-            names.append(f"forecast_temp_out_{k}")
-        for k in range(1, self.config.forecast_horizon + 1):
-            names.append(f"forecast_ghi_{k}")
-        return names
+    @cached_property
+    def _tables(self) -> TimeTables:
+        """This env's one-row time tables (built on first use: a fleet
+        builds its own tables for all its envs at once)."""
+        return time_tables([self])
 
+    # ------------------------------------------------------------- features
     @property
     def obs_names(self) -> List[str]:
         """Names of observation channels, index-aligned with the vector."""
-        return list(self._obs_names)
+        return self.layout.names(self.building.zone_names)
 
     def _observation(self) -> np.ndarray:
         i = self._index
-        day = self.weather.day_of_year(i)
-        hour = self.weather.hour_of_day(i)
-        occupied = self.building.occupancy(day, hour)
-        price = self.tariff.price_per_kwh(day, hour)
-
-        parts: List[float] = [
-            np.sin(2.0 * np.pi * hour / 24.0),
-            np.cos(2.0 * np.pi * hour / 24.0),
-            0.0 if (day - 1) % 7 >= 5 else 1.0,
-        ]
-        parts.extend(1.0 if o else 0.0 for o in occupied)
-        parts.extend((self._temps - _TEMP_CENTER_C) / _TEMP_SCALE_C)
-        parts.append((self.weather.temp_out_c[i] - _OUT_CENTER_C) / _OUT_SCALE_C)
-        parts.append(self.weather.ghi_w_m2[i] / _GHI_SCALE)
-        parts.append(price / _PRICE_SCALE)
-        if self.config.forecast_horizon > 0:
-            f_temp, f_ghi = self._forecast.forecast(i)
-            parts.extend((f_temp - _OUT_CENTER_C) / _OUT_SCALE_C)
-            parts.extend(f_ghi / _GHI_SCALE)
-        return np.asarray(parts, dtype=np.float64)
+        tab = self._tables
+        provider = self._forecast
+        noise = provider.draw_noise() if provider.horizon else np.zeros(0)
+        f_temp, f_ghi = forecast(
+            tab, _ROW, np.array([i]), provider.scales[None], noise[None]
+        )
+        return encode(
+            self.layout, tab.clock[0, i], tab.occupied[0, i], self._temps[None],
+            tab.exo[0, i], f_temp, f_ghi,
+        )[0]
 
     # ------------------------------------------------------------ lifecycle
     def reset_state(self) -> None:
@@ -257,27 +238,23 @@ class HVACEnv(Env):
         Comfort is scored on the end-of-step temperatures.
         """
         i = self._index
-        day = self.weather.day_of_year(i)
-        hour = self.weather.hour_of_day(i)
+        tab = self._tables
+        temp_out, ghi, price = tab.exo[0, i].tolist()
         inputs: Dict[str, object] = {
-            "temp_out_c": float(self.weather.temp_out_c[i]),
-            "ghi_w_m2": float(self.weather.ghi_w_m2[i]),
-            "price_per_kwh": self.tariff.price_per_kwh(day, hour),
-            "occupied": self.building.occupancy(day, hour),
-            "day_of_year": day,
-            "hour_of_day": hour,
+            "temp_out_c": temp_out,
+            "ghi_w_m2": ghi,
+            "price_per_kwh": price,
+            "occupied": tab.occupied[0, i].copy(),
+            "day_of_year": int(tab.day[0, i]),
+            "hour_of_day": float(tab.hour[0, i]),
         }
         dt = self.weather.dt_seconds
         net = self.building.network
         decay, gain = net._propagator(dt)
         rows = step_rows(
             self._cols, net, decay, gain, levels, self._temps[None],
-            self.weather.temp_out_c[i : i + 1],
-            self.weather.ghi_w_m2[i : i + 1],
-            inputs["price_per_kwh"],
-            inputs["occupied"],
-            self.building.internal_gains_w(day, hour),
-            dt,
+            tab.exo[0, i : i + 1, 0], tab.exo[0, i : i + 1, 1], price,
+            inputs["occupied"], tab.gains[0, i], dt,
         )
         return rows, inputs
 
@@ -367,4 +344,4 @@ class HVACEnv(Env):
     @property
     def obs_dim(self) -> int:
         """Length of the observation vector."""
-        return len(self._obs_names)
+        return self.layout.obs_dim

@@ -24,7 +24,8 @@ The campaign runner sweeps ``scenario × fault × controller × seed`` and
 ``docs/robustness.md``.
 """
 
-from repro.faults.base import FaultInjector, FaultModel, ObsLayout, fault_stream
+from repro.env.observation import ObsLayout
+from repro.faults.base import FaultInjector, FaultModel, fault_stream
 from repro.faults.models import (
     ActuatorFault,
     ForecastFault,

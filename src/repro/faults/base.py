@@ -1,5 +1,4 @@
-"""Fault-model plumbing: observation layouts, the model contract, and
-the per-fleet injector.
+"""Fault-model plumbing: the model contract and the per-fleet injector.
 
 A :class:`FaultModel` perturbs what a controller *senses* (observation
 channels) or what the plant *executes* (per-zone airflow levels); the
@@ -15,23 +14,21 @@ on env ``k`` — the same pattern the vector env uses for forecast noise —
 so a batched faulted fleet is bit-identical to the corresponding scalar
 faulted envs, and the injector state (RNG positions, step counters,
 held sensor values) round-trips through JSON.
+
+Models locate the channels they perturb through the env's observation
+layout (:class:`repro.env.observation.ObsLayout`) and convert °C
+perturbations with its unit conversions (``temp_to_obs``,
+``out_temp_to_obs``).
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.env.hvac_env import (
-    _OUT_CENTER_C,
-    _OUT_SCALE_C,
-    _TEMP_CENTER_C,
-    _TEMP_SCALE_C,
-    HVACEnv,
-)
+from repro.env.observation import ObsLayout
 from repro.utils.seeding import RandomState, rng_state, set_rng_state
 
 # Salt folded into every fault stream seed so fault randomness is
@@ -42,76 +39,6 @@ _FAULT_STREAM_SALT = 0xFA017
 def fault_stream(seed: int) -> RandomState:
     """The dedicated fault RNG stream for an env seeded with ``seed``."""
     return np.random.default_rng([_FAULT_STREAM_SALT, int(seed)])
-
-
-@dataclass(frozen=True)
-class ObsLayout:
-    """Channel indices of one env's observation vector.
-
-    Mirrors :meth:`repro.env.hvac_env.HVACEnv._build_obs_names`: the
-    slices models need to perturb specific physical channels, plus the
-    action-level count for actuator faults.
-    """
-
-    n_zones: int
-    horizon: int
-    obs_dim: int
-    n_levels: int
-
-    @classmethod
-    def from_env(cls, env: HVACEnv) -> "ObsLayout":
-        inner = env.unwrapped()
-        return cls(
-            n_zones=inner.building.n_zones,
-            horizon=inner.config.forecast_horizon,
-            obs_dim=inner.obs_dim,
-            n_levels=int(inner.action_space.nvec[0]),
-        )
-
-    @property
-    def occupied(self) -> slice:
-        return slice(3, 3 + self.n_zones)
-
-    @property
-    def temps(self) -> slice:
-        return slice(3 + self.n_zones, 3 + 2 * self.n_zones)
-
-    @property
-    def temp_out(self) -> int:
-        return 3 + 2 * self.n_zones
-
-    @property
-    def ghi(self) -> int:
-        return self.temp_out + 1
-
-    @property
-    def price(self) -> int:
-        return self.temp_out + 2
-
-    @property
-    def forecast_temp(self) -> slice:
-        start = self.temp_out + 3
-        return slice(start, start + self.horizon)
-
-    @property
-    def forecast_ghi(self) -> slice:
-        start = self.temp_out + 3 + self.horizon
-        return slice(start, start + self.horizon)
-
-    def sensed_temps_c(self, obs_row: np.ndarray) -> np.ndarray:
-        """Zone temperatures as a sensor reads them from ``obs_row`` (°C)."""
-        return obs_row[self.temps] * _TEMP_SCALE_C + _TEMP_CENTER_C
-
-
-# Unit conversions models share (observations are O(1)-scaled).
-def temp_to_obs(delta_c: np.ndarray | float) -> np.ndarray | float:
-    """A zone-temperature perturbation in °C, in observation units."""
-    return delta_c / _TEMP_SCALE_C
-
-
-def out_temp_to_obs(delta_c: np.ndarray | float) -> np.ndarray | float:
-    """An outdoor/forecast-temperature perturbation in °C, in obs units."""
-    return delta_c / _OUT_SCALE_C
 
 
 class FaultModel:

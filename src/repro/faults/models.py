@@ -14,11 +14,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.faults.base import (
-    FaultModel,
-    out_temp_to_obs,
-    temp_to_obs,
-)
+from repro.env.observation import out_temp_to_obs, temp_to_obs
+from repro.faults.base import FaultModel
 from repro.utils.validation import check_in_range, check_positive
 
 _SENSOR_CHANNELS = ("zone_temp", "temp_out", "ghi")

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.faults.base import FaultInjector, FaultModel, ObsLayout, fault_stream
+from repro.env.observation import ObsLayout
+from repro.faults.base import FaultInjector, FaultModel, fault_stream
 from repro.faults.models import (
     ActuatorFault,
     ForecastFault,

@@ -26,7 +26,8 @@ import numpy as np
 
 from repro.env.core import StepResult
 from repro.env.hvac_env import HVACEnv
-from repro.faults.base import FaultInjector, ObsLayout
+from repro.env.observation import ObsLayout
+from repro.faults.base import FaultInjector
 from repro.faults.profiles import FaultProfile, get_fault_profile
 
 if TYPE_CHECKING:  # import cycle guard: repro.sim wires faults into campaigns

@@ -2,51 +2,46 @@
 
 :class:`VectorHVACEnv` advances N independent buildings — possibly with
 different climates, tariffs, schedules, comfort bands, and zone counts —
-in a single array program per control step.  The per-env work that the
-scalar :class:`~repro.env.hvac_env.HVACEnv` does in Python (occupancy
-lookups, tariff pricing) is precomputed into time-indexed tables at
-construction, and the step arithmetic runs once for the whole fleet
-through the control-step kernel (:mod:`repro.env.kernel`), so aggregate
+in a single array program per control step.  Time-varying inputs
+(clock, weather, price, occupancy, gains) are precomputed into
+time-indexed tables at construction
+(:func:`repro.env.observation.time_tables`), the step arithmetic runs
+once for the whole fleet through the control-step kernel
+(:mod:`repro.env.kernel`) and the observation rows once through the
+shared encoder (:func:`repro.env.observation.encode`), so aggregate
 throughput scales far better than stepping N scalar envs sequentially
 (see ``benchmarks/perf_vector_sim.py``).
 
 Heterogeneity is handled by padding: zone-indexed arrays are padded to
-the widest building and masked, observation rows are padded to the
-longest observation vector.  Environments are grouped by observation
-signature ``(n_zones, forecast_horizon)`` so row assembly stays
-vectorized per group.
+the widest building and masked.  Observation rows are encoded in the
+fleet's widest layout (most zones, longest forecast horizon) and mapped
+onto each env's own layout by one precomputed per-env column index;
+rows are right-padded with zeros to the longest observation vector.
 
 Parity: a fleet of N identical configs reproduces N independent scalar
 envs' trajectories byte-identically, including RNG consumption — the
 vector env drives each scalar env's own generators for resets and
-forecast noise, and both step through the same kernel
-(:func:`repro.env.kernel.step_rows`), the fleet with one row per env and
-the scalar env with a single row.
+forecast noise, and both go through the same kernel
+(:func:`repro.env.kernel.step_rows`) and observation code
+(:mod:`repro.env.observation`), the fleet with one row per env and the
+scalar env with a single row.
 
 Fleet state is structure-of-arrays: the static per-env kernel columns
-(:func:`repro.env.kernel.step_columns`) built once at construction, plus
-the time tables and the dynamic state.
+(:func:`repro.env.kernel.step_columns`) and time tables built once at
+construction, plus the dynamic state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.env.hvac_env import (
-    _GHI_SCALE,
-    _OUT_CENTER_C,
-    _OUT_SCALE_C,
-    _PRICE_SCALE,
-    _TEMP_CENTER_C,
-    _TEMP_SCALE_C,
-    HVACEnv,
-)
+from repro.env.hvac_env import HVACEnv
 from repro.env.kernel import step_columns, step_rows
+from repro.env.observation import ObsLayout, encode, forecast, time_tables
 from repro.sim.batch_thermal import BatchRCNetwork
-from repro.weather.series import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 
 @dataclass
@@ -96,15 +91,6 @@ class BatchStepInfo:
         }
 
 
-@dataclass(frozen=True)
-class _ObsGroup:
-    """Envs sharing one observation layout ``(n_zones, horizon)``."""
-
-    indices: np.ndarray
-    n_zones: int
-    horizon: int
-
-
 class _EnvView:
     """A live single-env window into the fleet.
 
@@ -133,22 +119,6 @@ class _EnvView:
 
     def __getattr__(self, name: str):
         return getattr(self._env, name)
-
-
-def _price_row(tariff, days: List[int], hours: List[float]) -> np.ndarray:
-    """A tariff's $/kWh at every ``(day, hour)`` sample of a trace clock."""
-    return np.array(
-        [tariff.price_per_kwh(d, h) for d, h in zip(days, hours)], dtype=float
-    )
-
-
-def _schedule_rows(
-    sched, days: List[int], hours: List[float]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """A schedule's occupancy flags and gains (W/m²) at every sample."""
-    occupied = [sched.occupied(d, h) for d, h in zip(days, hours)]
-    gains = [sched.gains_w_per_m2(d, h) for d, h in zip(days, hours)]
-    return np.array(occupied, dtype=bool), np.array(gains, dtype=float)
 
 
 class VectorHVACEnv:
@@ -197,12 +167,10 @@ class VectorHVACEnv:
         self.n_zones = self._cols.n_zones
         self.zone_mask = self._cols.zone_mask
         self._episode_steps = np.array([env.episode_steps for env in self.envs])
-        self._trace_len = np.array([len(env.weather) for env in self.envs])
         self._n_levels = np.array([env.vav.n_levels for env in self.envs])
 
-        self._build_time_tables()
-        self._build_obs_groups()
-        self._build_forecast_columns()
+        self._tables = time_tables(self.envs)
+        self._build_obs_columns()
 
         # ------------------------------------------------------ dynamic state
         self._temps = np.zeros((n, z))
@@ -212,119 +180,32 @@ class VectorHVACEnv:
         self._last_obs = np.zeros((n, self.max_obs_dim))
         self._needs_reset = True
 
-    # --------------------------------------------------------------- tables
-    def _build_time_tables(self) -> None:
-        """Precompute every time-indexed input as ``(n_envs, T)`` tables.
+    def _build_obs_columns(self) -> None:
+        """Map the fleet's widest layout onto each env's own layout.
 
-        A tariff's price row and a schedule's occupancy/gains rows depend
-        only on the component and the trace clock ``(start_day, T, dt)``,
-        so each distinct row is built once per construction — keyed on the
-        (frozen, value-hashable) component and its clock — and copied to
-        every env that uses it.  Fleets of similar buildings thus pay the
-        per-sample Python cost once per shared clock.  An unhashable
-        custom component gets its rows built for its own env.
+        Rows are encoded in one layout with the most zones and the
+        longest forecast horizon of the fleet, plus one trailing zero
+        column; ``_obs_columns[k]`` picks env ``k``'s channels out of it
+        and points its right-padding at the zero column.  The forecast
+        noise scales are copied into ``(n_envs, 2 * max_horizon)``
+        columns (zero past each env's horizon), so the forecast of every
+        row is one call too.
         """
+        layouts = [env.layout for env in self.envs]
         n = self.n_envs
-        t_max = int(self._trace_len.max())
-        z = self.max_zones
-        self._temp_out = np.zeros((n, t_max))
-        self._ghi = np.zeros((n, t_max))
-        self._price = np.zeros((n, t_max))
-        self._occupied = np.zeros((n, t_max, z), dtype=bool)
-        self._gains = np.zeros((n, t_max, z))
-        self._sin_hour = np.zeros((n, t_max))
-        self._cos_hour = np.zeros((n, t_max))
-        self._workday = np.zeros((n, t_max))
-        self._day = np.zeros((n, t_max), dtype=int)
-        self._hour = np.zeros((n, t_max))
-
-        rows: Dict[tuple, object] = {}
-
-        def component_rows(component, sample_rows, clock, days, hours):
-            try:
-                return rows[(component, clock)]
-            except TypeError:  # unhashable custom component: no memoization
-                return sample_rows(component, days.tolist(), hours.tolist())
-            except KeyError:
-                built = sample_rows(component, days.tolist(), hours.tolist())
-                rows[(component, clock)] = built
-                return built
-
-        for k, env in enumerate(self.envs):
-            t = len(env.weather)
-            dt = env.weather.dt_seconds
-            seconds = np.arange(t) * dt
-            hours = (seconds % SECONDS_PER_DAY) / SECONDS_PER_HOUR
-            days = (
-                (env.weather.start_day_of_year - 1 + (seconds // SECONDS_PER_DAY).astype(int))
-                % 365
-            ) + 1
-            self._hour[k, :t] = hours
-            self._day[k, :t] = days
-            self._sin_hour[k, :t] = np.sin(2.0 * np.pi * hours / 24.0)
-            self._cos_hour[k, :t] = np.cos(2.0 * np.pi * hours / 24.0)
-            self._workday[k, :t] = np.where((days - 1) % 7 >= 5, 0.0, 1.0)
-            self._temp_out[k, :t] = env.weather.temp_out_c
-            self._ghi[k, :t] = env.weather.ghi_w_m2
-            # Pad past the trace end with the last sample so gathers at a
-            # frozen terminal index stay in range; `done` fires before any
-            # padded value can influence an active env.
-            if t < t_max:
-                self._temp_out[k, t:] = env.weather.temp_out_c[-1]
-                self._ghi[k, t:] = env.weather.ghi_w_m2[-1]
-                self._hour[k, t:] = hours[-1]
-                self._day[k, t:] = days[-1]
-
-            clock = (env.weather.start_day_of_year, t, dt)
-            self._price[k, :t] = component_rows(
-                env.tariff, _price_row, clock, days, hours
-            )
-            for j, (zone, sched) in enumerate(
-                zip(env.building.zones, env.building.schedules)
-            ):
-                occupied, gains = component_rows(
-                    sched, _schedule_rows, clock, days, hours
-                )
-                self._occupied[k, :t, j] = occupied
-                self._gains[k, :t, j] = gains * zone.floor_area_m2
-
-    def _build_obs_groups(self) -> None:
-        signatures: Dict[Tuple[int, int], List[int]] = {}
-        for k, env in enumerate(self.envs):
-            sig = (env.building.n_zones, env.config.forecast_horizon)
-            signatures.setdefault(sig, []).append(k)
-        self._groups = [
-            _ObsGroup(indices=np.asarray(idx, dtype=int), n_zones=zones, horizon=horizon)
-            for (zones, horizon), idx in sorted(signatures.items())
-        ]
-        self.obs_dims = np.array(
-            [env.obs_dim for env in self.envs], dtype=int
-        )
+        h_max = max(lay.horizon for lay in layouts)
+        wide = self._wide = ObsLayout(self.max_zones, h_max, int(self._n_levels.max()))
+        self.obs_dims = np.array([lay.obs_dim for lay in layouts], dtype=int)
         self.max_obs_dim = int(self.obs_dims.max())
-        self.max_horizon = max(env.config.forecast_horizon for env in self.envs)
-
-    def _build_forecast_columns(self) -> None:
-        """Columnar per-lead noise scales so forecast math batches.
-
-        Each member env owns a :class:`~repro.weather.forecast.ForecastProvider`
-        with per-lead noise stds; copying those scales into ``(n_envs,
-        max_horizon)`` columns lets :meth:`_assemble_obs` do the forecast
-        arithmetic for a whole observation group at once.  Only the raw
-        standard-normal draws stay per-env (they must consume each env's
-        own forecast generator, exactly as a scalar env would).
-        """
-        n, h_max = self.n_envs, self.max_horizon
-        self._horizons = np.array(
-            [env.config.forecast_horizon for env in self.envs], dtype=int
-        )
-        self._f_temp_scales = np.zeros((n, max(h_max, 1)))
-        self._f_ghi_scales = np.zeros((n, max(h_max, 1)))
-        for k, env in enumerate(self.envs):
-            h = env.config.forecast_horizon
-            if h > 0:
-                self._f_temp_scales[k, :h] = env._forecast._temp_scales
-                self._f_ghi_scales[k, :h] = env._forecast._ghi_scales
-        self._f_leads = np.arange(1, h_max + 1)
+        self._obs_columns = np.full((n, self.max_obs_dim), wide.obs_dim)
+        columns = {lay: lay.columns_in(wide) for lay in set(layouts)}
+        self._forecasters = []
+        self._f_scales = np.zeros((n, 2 * h_max))
+        for k, (env, lay) in enumerate(zip(self.envs, layouts)):
+            self._obs_columns[k, : lay.obs_dim] = columns[lay]
+            provider = env._forecast
+            self._forecasters.append(provider if lay.horizon else None)
+            self._f_scales[k, : 2 * lay.horizon] = provider.scales
 
     # ----------------------------------------------------------- properties
     @property
@@ -412,69 +293,26 @@ class VectorHVACEnv:
         """Recompute observation rows for ``indices`` into ``_last_obs``."""
         if indices.size == 0:
             return
+        tab = self._tables
         i = self._idx[indices]
-        sin_h = self._sin_hour[indices, i]
-        cos_h = self._cos_hour[indices, i]
-        workday = self._workday[indices, i]
-        occupied = self._occupied[indices, i].astype(np.float64)
-        temps_scaled = (self._temps[indices] - _TEMP_CENTER_C) / _TEMP_SCALE_C
-        tout_scaled = (self._temp_out[indices, i] - _OUT_CENTER_C) / _OUT_SCALE_C
-        ghi_scaled = self._ghi[indices, i] / _GHI_SCALE
-        price_scaled = self._price[indices, i] / _PRICE_SCALE
-
-        noise = None
-        if self.max_horizon > 0:
-            # The one irreducible per-env loop: the raw normal draws must
-            # come from each env's own forecast generator, in env order,
-            # exactly as the scalar envs would consume them.  All forecast
-            # *arithmetic* happens columnarly per group below.
-            noise = np.zeros((self.n_envs, 2 * self.max_horizon))
-            for k in indices:
-                if self._horizons[k] > 0:
-                    h = self._horizons[k]
-                    noise[k, : 2 * h] = self.envs[k]._forecast.draw_noise()
-
-        member = np.zeros(self.n_envs, dtype=bool)
-        member[indices] = True
-        pos = np.full(self.n_envs, -1, dtype=int)
-        pos[indices] = np.arange(indices.size)
-        obs = self._last_obs
-        for group in self._groups:
-            sel = group.indices[member[group.indices]]
-            if sel.size == 0:
-                continue
-            p = pos[sel]
-            zc, h = group.n_zones, group.horizon
-            obs[sel, 0] = sin_h[p]
-            obs[sel, 1] = cos_h[p]
-            obs[sel, 2] = workday[p]
-            obs[sel, 3 : 3 + zc] = occupied[np.ix_(p, range(zc))]
-            obs[sel, 3 + zc : 3 + 2 * zc] = temps_scaled[np.ix_(p, range(zc))]
-            col = 3 + 2 * zc
-            obs[sel, col] = tout_scaled[p]
-            obs[sel, col + 1] = ghi_scaled[p]
-            obs[sel, col + 2] = price_scaled[p]
-            if h > 0:
-                # Forecast base values come from the fleet weather tables
-                # (bit-equal to each provider's series); leads past the
-                # trace end persist the last sample, as the scalar
-                # provider does.
-                j = np.minimum(
-                    self._idx[sel][:, None] + self._f_leads[:h][None, :],
-                    (self._trace_len[sel] - 1)[:, None],
-                )
-                f_temp = self._temp_out[sel[:, None], j] + (
-                    0.0 + self._f_temp_scales[sel, :h] * noise[sel, 0 : 2 * h : 2]
-                )
-                f_ghi = np.maximum(
-                    self._ghi[sel[:, None], j]
-                    * (1.0 + (0.0 + self._f_ghi_scales[sel, :h] * noise[sel, 1 : 2 * h : 2])),
-                    0.0,
-                )
-                obs[sel, col + 3 : col + 3 + h] = (
-                    f_temp - _OUT_CENTER_C
-                ) / _OUT_SCALE_C
-                obs[sel, col + 3 + h : col + 3 + 2 * h] = f_ghi / _GHI_SCALE
+        # The one irreducible per-env loop: the raw normal draws must come
+        # from each env's own forecast generator, in env order, exactly
+        # as the scalar envs would consume them.
+        noise = np.zeros((indices.size, 2 * self._wide.horizon))
+        for p, k in enumerate(indices.tolist()):
+            provider = self._forecasters[k]
+            if provider is not None:
+                noise[p, : 2 * provider.horizon] = provider.draw_noise()
+        f_temp, f_ghi = forecast(
+            tab, indices, i, self._f_scales[indices], noise
+        )
+        wide = encode(
+            self._wide, tab.clock[indices, i], tab.occupied[indices, i],
+            self._temps[indices], tab.exo[indices, i], f_temp, f_ghi, pad=1,
+        )
+        self._last_obs[indices] = np.take_along_axis(
+            wide, self._obs_columns[indices], axis=1
+        )
 
     # -------------------------------------------------------------- stepping
     def _coerce_actions(self, actions) -> np.ndarray:
@@ -521,13 +359,12 @@ class VectorHVACEnv:
         rows = np.arange(n)
         active = ~self._done
         i = self._idx
-        temp_out = self._temp_out[rows, i]
-        ghi = self._ghi[rows, i]
-        price = self._price[rows, i]
-        occupied = self._occupied[rows, i]
-        gains = self._gains[rows, i]
-        day = self._day[rows, i]
-        hour = self._hour[rows, i]
+        tab = self._tables
+        temp_out, ghi, price = tab.exo[rows, i].T
+        occupied = tab.occupied[rows, i]
+        gains = tab.gains[rows, i]
+        day = tab.day[rows, i]
+        hour = tab.hour[rows, i]
         net = self.batch_net
         decay, gain = net._propagators(self.dt_seconds)
         stepped, power_w, out = step_rows(
@@ -541,8 +378,7 @@ class VectorHVACEnv:
         self._idx = i + active.astype(int)
         self._steps_taken += active.astype(int)
         newly_done = active & (
-            (self._steps_taken >= self._episode_steps)
-            | (self._idx >= self._trace_len - 1)
+            (self._steps_taken >= self._episode_steps) | (self._idx >= tab.last)
         )
         self._assemble_obs(rows[active])
 

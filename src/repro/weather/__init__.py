@@ -5,7 +5,7 @@ replace those with a synthetic typical-meteorological-year generator that
 produces the same channels the controller observes — ambient dry-bulb
 temperature and global horizontal irradiance — with realistic seasonal and
 diurnal structure, clear-sky solar geometry, stochastic cloud attenuation,
-and AR(1) temperature noise.  A forecast provider adds the noisy
+and AR(1) temperature noise.  A forecast provider draws the noise of the
 short-horizon forecasts the paper feeds into the RL state.
 """
 
@@ -16,7 +16,7 @@ from repro.weather.solar import (
     solar_elevation_deg,
 )
 from repro.weather.synthetic import SyntheticWeatherConfig, generate_weather
-from repro.weather.forecast import ForecastProvider, PerfectForecastProvider
+from repro.weather.forecast import ForecastProvider
 from repro.weather.io import weather_from_csv, weather_to_csv
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "SyntheticWeatherConfig",
     "generate_weather",
     "ForecastProvider",
-    "PerfectForecastProvider",
     "weather_from_csv",
     "weather_to_csv",
 ]

@@ -1,10 +1,12 @@
-"""Weather forecast providers.
+"""Weather forecast noise.
 
 The DAC'17 state vector augments current weather with forecasts of the
-next few control steps.  :class:`ForecastProvider` serves those forecasts
-with lead-time-proportional Gaussian noise (imperfect forecasts);
-:class:`PerfectForecastProvider` serves the true future (the idealized
-upper bound used in ablations).
+next few control steps.  :class:`ForecastProvider` owns what makes
+those forecasts imperfect: one generator and lead-time-proportional
+noise scales.  The forecast arithmetic itself — reading the future
+trace and applying the noise — is
+:func:`repro.env.observation.forecast`, shared by the scalar env and
+the fleet.
 """
 
 from __future__ import annotations
@@ -13,21 +15,19 @@ import numpy as np
 
 from repro.utils.seeding import RandomState, ensure_rng
 from repro.utils.validation import check_positive
-from repro.weather.series import WeatherSeries
 
 
 class ForecastProvider:
-    """Noisy forecasts of ambient temperature and GHI.
+    """Noise source of forecasts of ambient temperature and GHI.
 
     Forecast error grows with lead time: step ``k`` ahead has standard
     deviation ``k * noise_std_per_step`` for temperature and the same
-    relative noise on irradiance.  Beyond the end of the series, the last
-    sample is persisted (standard "persistence" fallback).
+    relative noise on irradiance.  ``scales`` holds those stds in the
+    order :meth:`draw_noise` draws its values.
     """
 
     def __init__(
         self,
-        series: WeatherSeries,
         *,
         horizon: int,
         temp_noise_std_per_step: float = 0.25,
@@ -38,57 +38,23 @@ class ForecastProvider:
             raise ValueError(f"horizon must be >= 0, got {horizon}")
         check_positive("temp_noise_std_per_step", temp_noise_std_per_step, strict=False)
         check_positive("ghi_relative_noise_per_step", ghi_relative_noise_per_step, strict=False)
-        self.series = series
         self.horizon = int(horizon)
         self.temp_noise_std_per_step = float(temp_noise_std_per_step)
         self.ghi_relative_noise_per_step = float(ghi_relative_noise_per_step)
         self._rng = ensure_rng(rng)
         leads = np.arange(1, self.horizon + 1)
-        # Per-lead noise scales: lead k carries std k * noise_per_step.
-        self._temp_scales = self.temp_noise_std_per_step * leads
-        self._ghi_scales = self.ghi_relative_noise_per_step * leads
-        self._leads = leads
-
-    def _future_index(self, index: int, lead: int) -> int:
-        return min(index + lead, len(self.series) - 1)
+        self.scales = np.ravel(
+            [self.temp_noise_std_per_step * leads, self.ghi_relative_noise_per_step * leads],
+            order="F",
+        )
 
     def draw_noise(self) -> np.ndarray:
         """Draw the raw standard normals one forecast consumes.
 
         Returns ``2 * horizon`` values interleaved (temp, ghi) per lead —
         the exact stream consumption of the historical per-lead
-        ``normal()`` call pairs, so callers that split the draw from the
-        arithmetic (the vector env does, to batch the math) stay
-        bit-identical to the scalar path.
+        ``normal()`` call pairs, so every forecast stays bit-identical
+        to the trajectories recorded before the draw was split from the
+        arithmetic.
         """
         return self._rng.standard_normal(2 * self.horizon)
-
-    def forecast_from_noise(
-        self, index: int, noise: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Assemble a forecast from pre-drawn noise (see :meth:`draw_noise`)."""
-        if not 0 <= index < len(self.series):
-            raise IndexError(f"index {index} out of range for series of {len(self.series)}")
-        j = np.minimum(index + self._leads, len(self.series) - 1)
-        temp_noise = 0.0 + self._temp_scales * noise[0::2]
-        ghi_noise = 0.0 + self._ghi_scales * noise[1::2]
-        temps = self.series.temp_out_c[j] + temp_noise
-        ghis = np.maximum(self.series.ghi_w_m2[j] * (1.0 + ghi_noise), 0.0)
-        return temps, ghis
-
-    def forecast(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(temps, ghis)`` for leads ``1..horizon`` from ``index``."""
-        return self.forecast_from_noise(index, self.draw_noise())
-
-
-class PerfectForecastProvider(ForecastProvider):
-    """Forecasts with zero error — the oracle variant for ablations."""
-
-    def __init__(self, series: WeatherSeries, *, horizon: int) -> None:
-        super().__init__(
-            series,
-            horizon=horizon,
-            temp_noise_std_per_step=0.0,
-            ghi_relative_noise_per_step=0.0,
-            rng=0,
-        )

@@ -10,6 +10,8 @@ from repro.building import (
     ZoneConfig,
     single_zone_building,
 )
+from repro.env import HVACEnv
+from repro.weather import WeatherSeries
 
 
 def make_two_zone():
@@ -63,12 +65,13 @@ class TestGains:
         assert gains[0] == pytest.approx(20.0 * 80.0)
         assert gains[1] == pytest.approx(5.0 * 120.0)
 
-    def test_occupancy_flags(self):
-        b = make_two_zone()
-        occ = b.occupancy(1, 12.0)
-        assert occ[0] and occ[1]
-        occ_night = b.occupancy(1, 2.0)
-        assert not occ_night[0] and occ_night[1]  # constant stays occupied
+    def test_occupancy_flags(self, summer_weather):
+        # Each zone's flags come from its own schedule, read through the
+        # env's time tables (sample 48 is noon, sample 8 is 02:00).
+        weather = WeatherSeries(900.0, 1, summer_weather.temp_out_c, summer_weather.ghi_w_m2)
+        occupied = HVACEnv(make_two_zone(), weather)._tables.occupied[0]
+        assert occupied[48, 0] and occupied[48, 1]  # Monday noon
+        assert not occupied[8, 0] and occupied[8, 1]  # constant stays occupied
 
 
 def step_building(b, temps, temp_out_c, ghi_w_m2, hvac_heat_w, day, hour, dt):
@@ -102,7 +105,8 @@ class TestSimulation:
 
     def test_free_float_steady_state_above_ambient_with_gains(self):
         b = single_zone_building()
-        ss = b.free_float_steady_state(25.0, 400.0, 1, 12.0)
+        heat = b.solar_gains_w(400.0) + b.internal_gains_w(1, 12.0)
+        ss = b.network.steady_state(25.0, heat)
         assert ss[0] > 25.0
 
     def test_repr(self):

@@ -72,6 +72,7 @@ class TestFiveZone:
 
     def test_steady_state_well_defined(self):
         b = five_zone_perimeter_core()
-        ss = b.free_float_steady_state(30.0, 500.0, 1, 12.0)
+        heat = b.solar_gains_w(500.0) + b.internal_gains_w(1, 12.0)
+        ss = b.network.steady_state(30.0, heat)
         assert np.all(np.isfinite(ss))
         assert np.all(ss > 30.0)  # gains push all zones above ambient

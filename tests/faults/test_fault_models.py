@@ -14,7 +14,7 @@ from repro.faults import (
     fault_stream,
 )
 
-LAYOUT = ObsLayout(n_zones=2, horizon=3, obs_dim=3 + 2 * 2 + 3 + 2 * 3, n_levels=4)
+LAYOUT = ObsLayout(n_zones=2, horizon=3, n_levels=4)
 
 
 def make_injector(*models, n_envs=1, layout=LAYOUT, seed=0):
@@ -210,7 +210,7 @@ class TestForecastFault:
         assert obs[LAYOUT.temp_out] == before[LAYOUT.temp_out]
 
     def test_inert_without_forecast_horizon(self):
-        layout = ObsLayout(n_zones=1, horizon=0, obs_dim=3 + 2 * 1 + 3, n_levels=4)
+        layout = ObsLayout(n_zones=1, horizon=0, n_levels=4)
         inj = make_injector(
             ForecastFault(temp_bias_c=3.0, temp_std_c=1.0), layout=layout
         )

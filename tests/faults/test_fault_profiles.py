@@ -13,7 +13,7 @@ from repro.faults import (
 )
 from repro.faults.base import ObsLayout
 
-LAYOUT = ObsLayout(n_zones=1, horizon=3, obs_dim=14, n_levels=4)
+LAYOUT = ObsLayout(n_zones=1, horizon=3, n_levels=4)
 
 
 class TestRegistry:

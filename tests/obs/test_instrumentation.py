@@ -129,7 +129,7 @@ class TestBatcherInstrumentation:
 
 
 class TestFaultInjectorInstrumentation:
-    LAYOUT = ObsLayout(n_zones=1, horizon=2, obs_dim=3 + 2 + 3 + 4, n_levels=4)
+    LAYOUT = ObsLayout(n_zones=1, horizon=2, n_levels=4)
 
     def _injector(self):
         return FaultInjector(

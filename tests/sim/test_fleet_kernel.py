@@ -142,7 +142,7 @@ class TestStepKernel:
             obs, rewards, dones, info = vec.step([a[t] for a in actions])
             heat = (
                 vec._cols.aperture * info.ghi_w_m2[:, None]
-                + vec._gains[np.arange(vec.n_envs), vec._idx - 1]
+                + vec._tables.gains[np.arange(vec.n_envs), vec._idx - 1]
                 + _hvac_heat(vec, info.levels, before)
             )
             expected = vec.batch_net.step(
@@ -167,13 +167,14 @@ class TestStepKernel:
         vec.reset()
         rows = np.arange(vec.n_envs)
         i = vec._idx
+        tab = vec._tables
         levels = np.ones((vec.n_envs, vec.max_zones), dtype=int)
         temps_before = vec._temps.copy()
         decay, gain = vec.batch_net._propagators(vec.dt_seconds)
         step_rows(
             vec._cols, vec.batch_net, decay, gain, levels, vec._temps,
-            vec._temp_out[rows, i], vec._ghi[rows, i], vec._price[rows, i],
-            vec._occupied[rows, i], vec._gains[rows, i], vec.dt_seconds,
+            tab.exo[rows, i, 0], tab.exo[rows, i, 1], tab.exo[rows, i, 2],
+            tab.occupied[rows, i], tab.gains[rows, i], vec.dt_seconds,
         )
         # Fleet state only changes in step().
         assert vec._temps.tobytes() == temps_before.tobytes()

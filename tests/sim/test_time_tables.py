@@ -1,11 +1,12 @@
-"""Byte pins for the fleet's time-indexed input tables.
+"""Byte pins for the time-indexed input tables.
 
-``VectorHVACEnv`` precomputes weather, price, occupancy, gains and clock
-features as ``(n_envs, T)`` tables at construction, building each tariff
-or schedule row once per shared clock and copying it to every env that
-uses it.  The digests below were recorded from the original
-per-sample construction over a mixed fleet whose traces have uneven
-lengths, so the padding past each trace end is pinned too.
+``repro.env.observation.time_tables`` precomputes weather, price,
+occupancy, gains and clock features as ``(n_envs, T)`` tables — for a
+fleet at construction, for a scalar env as its one-row tables — building
+each tariff or schedule row once per shared clock and copying it to
+every env that uses it.  The digests below were recorded from the
+original per-sample construction over a mixed fleet whose traces have
+uneven lengths, so the padding past each trace end is pinned too.
 """
 
 from __future__ import annotations
@@ -22,18 +23,19 @@ from repro.sim import VectorHVACEnv
 from repro.sim.scenarios import get_scenario
 from repro.weather import SyntheticWeatherConfig, generate_weather
 
-TABLES = (
-    "_temp_out",
-    "_ghi",
-    "_price",
-    "_occupied",
-    "_gains",
-    "_sin_hour",
-    "_cos_hour",
-    "_workday",
-    "_day",
-    "_hour",
-)
+# Each pinned table as a view of the stacked TimeTables arrays.
+TABLES = {
+    "temp_out": lambda tab: tab.exo[..., 0],
+    "ghi": lambda tab: tab.exo[..., 1],
+    "price": lambda tab: tab.exo[..., 2],
+    "occupied": lambda tab: tab.occupied,
+    "gains": lambda tab: tab.gains,
+    "sin_hour": lambda tab: tab.clock[..., 0],
+    "cos_hour": lambda tab: tab.clock[..., 1],
+    "workday": lambda tab: tab.clock[..., 2],
+    "day": lambda tab: tab.day,
+    "hour": lambda tab: tab.hour,
+}
 
 # (scenario, weather_days, seed): uneven trace lengths exercise padding.
 MIXED_FLEET = (
@@ -47,16 +49,16 @@ MIXED_FLEET = (
 )
 
 TABLE_DIGESTS = {
-    "_temp_out": "e2be4980b88494dbdf5852a398d6f0913f52effe6d57d516bce45fb679bf942c",
-    "_ghi": "9544bc76d4d3f763fd2b79b27c241753b10567f58ff7b44e49589ed2af9975bc",
-    "_price": "49047c906a37456a166cef72207710959082981ad9f46e946d683ed9078a9658",
-    "_occupied": "7b910fd3df3350139301f652ea47e2c6a22a233b4bcca1d1ed1f436089dc78de",
-    "_gains": "692a2ba164e2fad8e2f60b242ded1e1e92528f623d88be142a7ec814872832f3",
-    "_sin_hour": "fbd694016e0f0d3a0f31e1ae0e240e7630e798c935903b8b22a7174cfd3cc4ae",
-    "_cos_hour": "dec4b1b19825c1f0a13ed53674725cdfc588493a8e7289613137d9be7dc0a5f9",
-    "_workday": "fdf006b11e46a0641ffddcce7df3303d81c50635899c3b776d4d36f78887a648",
-    "_day": "89d565bc3fc3ed9604fabffe4b6eaeb3a7390476af524528b9413e57ce951241",
-    "_hour": "6c43b79e0a2dfe502246673dddcdc0524a0b84586dea7597faa97398d2aae4e6",
+    "temp_out": "e2be4980b88494dbdf5852a398d6f0913f52effe6d57d516bce45fb679bf942c",
+    "ghi": "9544bc76d4d3f763fd2b79b27c241753b10567f58ff7b44e49589ed2af9975bc",
+    "price": "49047c906a37456a166cef72207710959082981ad9f46e946d683ed9078a9658",
+    "occupied": "7b910fd3df3350139301f652ea47e2c6a22a233b4bcca1d1ed1f436089dc78de",
+    "gains": "692a2ba164e2fad8e2f60b242ded1e1e92528f623d88be142a7ec814872832f3",
+    "sin_hour": "fbd694016e0f0d3a0f31e1ae0e240e7630e798c935903b8b22a7174cfd3cc4ae",
+    "cos_hour": "dec4b1b19825c1f0a13ed53674725cdfc588493a8e7289613137d9be7dc0a5f9",
+    "workday": "fdf006b11e46a0641ffddcce7df3303d81c50635899c3b776d4d36f78887a648",
+    "day": "89d565bc3fc3ed9604fabffe4b6eaeb3a7390476af524528b9413e57ce951241",
+    "hour": "6c43b79e0a2dfe502246673dddcdc0524a0b84586dea7597faa97398d2aae4e6",
 }
 
 
@@ -78,8 +80,8 @@ def _mixed_fleet() -> VectorHVACEnv:
 
 def compute_digests() -> dict:
     """Every pinned digest, as the current code computes it."""
-    fleet = _mixed_fleet()
-    return {name: _table_digest(getattr(fleet, name)) for name in TABLES}
+    tables = _mixed_fleet()._tables
+    return {name: _table_digest(view(tables)) for name, view in TABLES.items()}
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +91,8 @@ def mixed_fleet():
 
 @pytest.mark.parametrize("table", TABLES)
 def test_time_table_bytes_pinned(mixed_fleet, table):
-    assert _table_digest(getattr(mixed_fleet, table)) == TABLE_DIGESTS[table]
+    view = TABLES[table](mixed_fleet._tables)
+    assert _table_digest(view) == TABLE_DIGESTS[table]
 
 
 # ------------------------------------------------ unhashable components
@@ -153,18 +156,18 @@ def test_unhashable_tariff_and_schedule_match_per_sample_calls():
         _custom_env(short, _RampTariff(0.2), schedule, 2),
         _custom_env(long, TimeOfUseTariff(), ConstantSchedule(), 3),
     ]
-    fleet = VectorHVACEnv(envs)
+    tab = VectorHVACEnv(envs)._tables
     for k, env in enumerate(envs):
         weather = env.weather
         area = env.building.zones[0].floor_area_m2
         sched = env.building.schedules[0]
         for i in range(len(weather)):
             day, hour = weather.day_of_year(i), weather.hour_of_day(i)
-            assert fleet._price[k, i] == env.tariff.price_per_kwh(day, hour)
-            assert fleet._occupied[k, i, 0] == sched.occupied(day, hour)
-            assert fleet._gains[k, i, 0] == sched.gains_w_per_m2(day, hour) * area
+            assert tab.exo[k, i, 2] == env.tariff.price_per_kwh(day, hour)
+            assert tab.occupied[k, i, 0] == sched.occupied(day, hour)
+            assert tab.gains[k, i, 0] == sched.gains_w_per_m2(day, hour) * area
         last = len(weather) - 1
         # Padding past a short trace repeats nothing for price and
         # schedules: those stay zero, as the step never reads them.
-        assert np.all(fleet._price[k, last + 1:] == 0.0)
-        assert not fleet._occupied[k, last + 1:].any()
+        assert np.all(tab.exo[k, last + 1:, 2] == 0.0)
+        assert not tab.occupied[k, last + 1:].any()

@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 from repro.baselines import ThermostatController
-from repro.building import four_zone_office, single_zone_building
+from repro.building import (
+    five_zone_perimeter_core,
+    four_zone_office,
+    single_zone_building,
+)
 from repro.env import HVACEnv, HVACEnvConfig
 from repro.sim import VectorHVACEnv
 from repro.sim.scenarios import build_fleet, get_scenario, list_scenarios
@@ -35,6 +39,31 @@ def _same(a, b, what):
 def _make_env(weather, seed, builder=single_zone_building, **cfg):
     cfg.setdefault("episode_days", 1.0)
     return HVACEnv(builder(), weather, config=HVACEnvConfig(**cfg), rng=seed)
+
+
+# (building, forecast horizon, episode days): every obs layout differs.
+MIXED_LAYOUTS = (
+    (single_zone_building, 0, 1.0),
+    (four_zone_office, 3, 0.5),
+    (five_zone_perimeter_core, 5, 1.0),
+    (single_zone_building, 5, 0.5),
+    (four_zone_office, 0, 1.0),
+    (five_zone_perimeter_core, 3, 0.5),
+)
+
+
+def _mixed_layout_envs(weather):
+    return [
+        _make_env(
+            weather,
+            seed,
+            builder,
+            forecast_horizon=horizon,
+            episode_days=days,
+            randomize_start_day=True,
+        )
+        for seed, (builder, horizon, days) in enumerate(MIXED_LAYOUTS, start=11)
+    ]
 
 
 def _assert_step_equal(k, env, vec_step, scalar_step):
@@ -126,6 +155,56 @@ class TestScalarVectorParity:
                     _same(vec_step[3].terminal_obs[k, : env.obs_dim], obs_k, "terminal")
                     obs_k = env.reset()
                 _assert_step_equal(k, env, vec_step, (obs_k, rew_k, done_k, info_k))
+
+    def test_mixed_layouts_through_autoreset(self, week_weather):
+        """Horizons {0, 3, 5} and zone counts {1, 4, 5} in one fleet with
+        randomized starts: every row byte-equal to its scalar env through
+        at least two autoresets of every env."""
+        vec = VectorHVACEnv(_mixed_layout_envs(week_weather))
+        scalars = _mixed_layout_envs(week_weather)
+        assert len({env.obs_dim for env in scalars}) == len(scalars)
+        action_rng = np.random.default_rng(2)
+        obs_v = vec.reset()
+        for k, env in enumerate(scalars):
+            _same(obs_v[k, : env.obs_dim], env.reset(), f"env {k} reset obs")
+            assert not obs_v[k, env.obs_dim :].any()
+        resets = np.zeros(len(scalars), dtype=int)
+        for _ in range(2 * scalars[0].episode_steps + 5):
+            actions = [env.action_space.sample(action_rng) for env in scalars]
+            vec_step = vec.step(actions)
+            for k, env in enumerate(scalars):
+                obs_k, rew_k, done_k, info_k = env.step(actions[k])
+                if done_k:
+                    _same(vec_step[3].terminal_obs[k, : env.obs_dim], obs_k, "terminal")
+                    obs_k = env.reset()
+                    resets[k] += 1
+                _assert_step_equal(k, env, vec_step, (obs_k, rew_k, done_k, info_k))
+        assert resets.min() >= 2
+
+    def test_mixed_layouts_frozen_rows(self, week_weather):
+        """Without autoreset, a finished row of a mixed-layout fleet keeps
+        its scalar env's terminal observation, zero reward and done."""
+        vec = VectorHVACEnv(_mixed_layout_envs(week_weather), autoreset=False)
+        scalars = _mixed_layout_envs(week_weather)
+        action_rng = np.random.default_rng(3)
+        obs_v = vec.reset()
+        for k, env in enumerate(scalars):
+            _same(obs_v[k, : env.obs_dim], env.reset(), f"env {k} reset obs")
+        terminal = [None] * len(scalars)
+        for _ in range(scalars[0].episode_steps + 3):
+            actions = [env.action_space.sample(action_rng) for env in scalars]
+            obs_v, rew_v, done_v, info = vec.step(actions)
+            for k, env in enumerate(scalars):
+                if terminal[k] is None:
+                    step_k = env.step(actions[k])
+                    _assert_step_equal(k, env, (obs_v, rew_v, done_v, info), step_k)
+                    if step_k[2]:
+                        terminal[k] = step_k[0]
+                else:
+                    _same(obs_v[k, : env.obs_dim], terminal[k], f"env {k} frozen obs")
+                    assert not obs_v[k, env.obs_dim :].any()
+                    assert rew_v[k] == 0.0 and done_v[k] and not info.active[k]
+        assert all(t is not None for t in terminal)
 
     def test_autoreset_matches_scalar_reset_cycle(self, summer_weather):
         """Across an episode boundary, autoreset rows equal a scalar

@@ -125,14 +125,14 @@ class MPCController(AgentBase):
         for k in range(self.horizon):
             temp_out = float(inputs["temp_out"][k])
             occupied = bool(inputs["occupied"][k])
-            flows, heat, power_w = plant(
+            share, heat, power_w = plant(
                 cols, self._sequences[:, k : k + 1], temps, temp_out
             )
             temps = self.model.step(
                 temps, temp_out, float(inputs["ghi"][k]), heat, occupied, dt
             )
             total += outcome(
-                cols, temps, occupied, flows, power_w, float(inputs["price"][k]), dt
+                cols, temps, occupied, share, power_w, float(inputs["price"][k]), dt
             ).reward
         return total
 

@@ -74,13 +74,15 @@ class Building:
 
     # --------------------------------------------------------------- gains
     def solar_gains_w(self, ghi_w_m2: float) -> np.ndarray:
-        """Per-zone solar gains (W) for a global horizontal irradiance."""
+        """Per-zone solar gains (W) for a global horizontal irradiance (a
+        per-sample reference for the kernel's ``aperture * ghi`` rows)."""
         if ghi_w_m2 < 0:
             raise ValueError(f"ghi must be >= 0, got {ghi_w_m2}")
         return np.array([z.solar_aperture_m2 * ghi_w_m2 for z in self.zones])
 
     def internal_gains_w(self, day_of_year: int, hour_of_day: float) -> np.ndarray:
-        """Per-zone internal gains (W) from the occupancy schedules."""
+        """Per-zone internal gains (W) from the occupancy schedules (a
+        per-sample reference for the ``gains`` rows of ``time_tables``)."""
         return np.array(
             [
                 sched.gains_w_per_m2(day_of_year, hour_of_day) * zone.floor_area_m2

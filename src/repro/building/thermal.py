@@ -132,6 +132,7 @@ class RCNetwork:
         control step, matching how a 15-minute HVAC decision is actually
         applied.  The update is the exact solution of the linear ODE; only
         degenerate (ambient-isolated) networks use Euler sub-stepping.
+        Envs step through the kernel's ``advance``; this is its reference.
         """
         check_positive("dt_seconds", dt_seconds)
         temps = check_finite("temps", temps).astype(np.float64).copy()

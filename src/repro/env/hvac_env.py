@@ -14,33 +14,29 @@ Reward
     ``-(energy cost in $) - comfort_weight * (violation degree-hours)``,
     i.e. the paper's weighted trade-off between energy cost and comfort.
 
-The transition itself — plant response, RC advance, comfort and reward —
-is the shared control-step kernel (:mod:`repro.env.kernel`), and the
-observation, its time tables and forecasts are
-:mod:`repro.env.observation`; the env is the one-row case of both, as
-the fleet (:class:`~repro.sim.vector_env.VectorHVACEnv`) is the
-many-row case.
+:class:`HVACEnv` holds the configuration — building, plant, weather,
+tariff, comfort band, spaces, observation layout and random generators.
+Its episode state and every transition belong to a one-row fleet
+(:class:`~repro.sim.vector_env.VectorHVACEnv`, built on first use):
+``reset``, ``step`` and the checkpoint read or drive that fleet, so the
+scalar env and a fleet row run one reset draw, one control-step kernel
+(:mod:`repro.env.kernel`) and one observation
+(:mod:`repro.env.observation`) by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 from repro.building.building import Building
 from repro.env.comfort import ComfortBand
 from repro.env.core import Env, StepResult
-from repro.env.kernel import (
-    StepColumns,
-    StepRows,
-    require_exact_propagator,
-    step_columns,
-    step_rows,
-)
-from repro.env.observation import ObsLayout, TimeTables, encode, forecast, time_tables
+from repro.env.kernel import StepColumns, StepRows, require_exact_propagator
+from repro.env.observation import ObsLayout, TimeTables
 from repro.env.spaces import Box, MultiDiscrete
 from repro.hvac.tariffs import Tariff, TimeOfUseTariff
 from repro.hvac.vav import VAVConfig, VAVSystem
@@ -55,8 +51,8 @@ from repro.utils.validation import check_positive
 from repro.weather.forecast import ForecastProvider
 from repro.weather.series import SECONDS_PER_DAY, WeatherSeries
 
-# The one table row of a scalar env.
-_ROW = np.zeros(1, dtype=int)
+if TYPE_CHECKING:  # repro.sim imports this module
+    from repro.sim.vector_env import VectorHVACEnv
 
 
 @dataclass(frozen=True)
@@ -157,23 +153,23 @@ class HVACEnv(Env):
         self.layout = ObsLayout(n, self.config.forecast_horizon, vav.n_levels)
         self.observation_space = Box(-np.inf, np.inf, (self.layout.obs_dim,))
 
-        self._index = 0
-        self._start_index = 0
-        self._temps = np.full(n, 0.5 * (self.comfort.occupied_low_c + self.comfort.occupied_high_c))
-        self._steps_taken = 0
-        self._needs_reset = True
-
     @cached_property
+    def _fleet(self) -> "VectorHVACEnv":
+        """This env as a one-row fleet, which owns its episode state (built
+        on first use: a fleet of many envs owns theirs itself)."""
+        from repro.sim.vector_env import VectorHVACEnv  # repro.sim imports this module
+
+        return VectorHVACEnv([self], autoreset=False)
+
+    @property
     def _cols(self) -> StepColumns:
-        """This env's one-row kernel columns (built on first use: a fleet
-        builds its own columns for all its envs at once)."""
-        return step_columns([self])
+        """This env's one-row kernel columns."""
+        return self._fleet._cols
 
-    @cached_property
+    @property
     def _tables(self) -> TimeTables:
-        """This env's one-row time tables (built on first use: a fleet
-        builds its own tables for all its envs at once)."""
-        return time_tables([self])
+        """This env's one-row time tables."""
+        return self._fleet._tables
 
     # ------------------------------------------------------------- features
     @property
@@ -181,118 +177,28 @@ class HVACEnv(Env):
         """Names of observation channels, index-aligned with the vector."""
         return self.layout.names(self.building.zone_names)
 
-    def _observation(self) -> np.ndarray:
-        i = self._index
-        tab = self._tables
-        provider = self._forecast
-        noise = provider.draw_noise() if provider.horizon else np.zeros(0)
-        f_temp, f_ghi = forecast(
-            tab, _ROW, np.array([i]), provider.scales[None], noise[None]
-        )
-        return encode(
-            self.layout, tab.clock[0, i], tab.occupied[0, i], self._temps[None],
-            tab.exo[0, i], f_temp, f_ghi,
-        )[0]
-
     # ------------------------------------------------------------ lifecycle
-    def reset_state(self) -> None:
-        """Reset episode state (start index, temperatures) without building
-        the observation.
-
-        Split out from :meth:`reset` so batched simulators
-        (:class:`repro.sim.VectorHVACEnv`) can reuse the exact same RNG
-        consumption while assembling observations themselves.
-        """
-        max_start_day = int(len(self.weather) / self.steps_per_day - self.config.episode_days)
-        if self.config.randomize_start_day and max_start_day > 0:
-            start_day = int(self._rng.integers(0, max_start_day + 1))
-        else:
-            start_day = 0
-        self._start_index = start_day * self.steps_per_day
-        self._index = self._start_index
-        mid = 0.5 * (self.comfort.occupied_low_c + self.comfort.occupied_high_c)
-        noise = self.config.initial_temp_noise_c
-        self._temps = mid + self._rng.uniform(-noise, noise, size=self.building.n_zones)
-        self._steps_taken = 0
-        self._needs_reset = False
-
     def reset(self) -> np.ndarray:
         """Start a new episode; returns the initial observation."""
-        self.reset_state()
-        return self._observation()
+        return self._fleet.reset()[0]
 
-    def _coerce_action(self, action) -> np.ndarray:
-        if np.isscalar(action) and self.building.n_zones == 1:
-            action = [int(action)]
-        levels = np.asarray(action, dtype=int)
-        if not self.action_space.contains(levels):
-            raise ValueError(f"action {action!r} not in {self.action_space}")
-        return levels
-
-    def _step_rows(self, levels: np.ndarray) -> Tuple[StepRows, Dict[str, object]]:
-        """The kernel's control step of each ``levels`` row from the
-        current state, and the step's exogenous inputs (info-dict keys).
-
-        The env itself does not move: :meth:`step` commits its single
-        row; the lookahead oracle scores every candidate action.
-        Comfort is scored on the end-of-step temperatures.
-        """
-        i = self._index
-        tab = self._tables
-        temp_out, ghi, price = tab.exo[0, i].tolist()
-        inputs: Dict[str, object] = {
-            "temp_out_c": temp_out,
-            "ghi_w_m2": ghi,
-            "price_per_kwh": price,
-            "occupied": tab.occupied[0, i].copy(),
-            "day_of_year": int(tab.day[0, i]),
-            "hour_of_day": float(tab.hour[0, i]),
-        }
-        dt = self.weather.dt_seconds
-        net = self.building.network
-        decay, gain = net._propagator(dt)
-        rows = step_rows(
-            self._cols, net, decay, gain, levels, self._temps[None],
-            tab.exo[0, i : i + 1, 0], tab.exo[0, i : i + 1, 1], price,
-            inputs["occupied"], tab.gains[0, i], dt,
-        )
-        return rows, inputs
+    def _step_rows(self, levels: np.ndarray) -> Tuple[StepRows, tuple]:
+        """The kernel's step of each candidate ``levels`` row from the
+        current state (the lookahead oracle's scores); nothing moves."""
+        return self._fleet._step_rows(levels)
 
     def step(self, action) -> StepResult:
         """Apply per-zone airflow levels for one control step."""
-        if self._needs_reset:
+        fleet = self._fleet
+        if fleet._needs_reset or fleet._done[0]:
             raise RuntimeError("call reset() before step()")
-        levels = self._coerce_action(action)
-        rows, inputs = self._step_rows(levels[None])
-        new_temps = rows.new_temps[0]
-        out = rows.outcome
-
-        self._temps = new_temps
-        self._index += 1
-        self._steps_taken += 1
-        done = self._steps_taken >= self.episode_steps
-        if self._index >= len(self.weather) - 1:
-            done = True
-        if done:
-            self._needs_reset = True
-
-        info: Dict[str, object] = {
-            "energy_kwh": float(out.energy_kwh[0]),
-            "cost_usd": float(out.cost_usd[0]),
-            "power_w": float(rows.power_w[0]),
-            "violation_deg_hours": float(out.violation_deg_hours[0]),
-            "violation_per_zone_deg": out.violations[0],
-            "reward_per_zone": out.reward_per_zone[0],
-            "temps_c": new_temps.copy(),
-            "temp_out_c": inputs["temp_out_c"],
-            "ghi_w_m2": inputs["ghi_w_m2"],
-            "price_per_kwh": inputs["price_per_kwh"],
-            "levels": levels.copy(),
-            "occupied": inputs["occupied"],
-            "day_of_year": inputs["day_of_year"],
-            "hour_of_day": inputs["hour_of_day"],
-        }
-        return self._observation(), float(out.reward[0]), bool(done), info
+        m = self.building.n_zones
+        levels = np.asarray(action, dtype=np.int64)
+        # A single-zone env also takes its one level as a scalar.
+        if levels.shape != (m,) and (m > 1 or levels.ndim):
+            raise ValueError(f"action {action!r} not in {self.action_space}")
+        obs, reward, done, info = fleet.step(levels.reshape(1, m))
+        return obs[0], float(reward[0]), bool(done[0]), info.per_env(0, m)
 
     # -------------------------------------------------------- checkpointing
     def state_dict(self) -> dict:
@@ -304,12 +210,14 @@ class HVACEnv(Env):
         forecast noise) exactly, so a resumed run consumes the same random
         stream an uninterrupted one would.
         """
+        fleet = self._fleet
+        index, steps = int(fleet._idx[0]), int(fleet._steps_taken[0])
         return {
-            "index": int(self._index),
-            "start_index": int(self._start_index),
-            "steps_taken": int(self._steps_taken),
-            "needs_reset": bool(self._needs_reset),
-            "temps": self._temps.tolist(),
+            "index": index,
+            "start_index": index - steps,
+            "steps_taken": steps,
+            "needs_reset": bool(fleet._needs_reset or fleet._done[0]),
+            "temps": fleet._temps[0].tolist(),
             "rng": rng_state(self._rng),
             "forecast_rng": rng_state(self._forecast._rng),
         }
@@ -322,11 +230,11 @@ class HVACEnv(Env):
                 f"state has {temps.shape[0] if temps.ndim else 0} zone "
                 f"temperatures for a {self.building.n_zones}-zone building"
             )
-        self._index = int(state["index"])
-        self._start_index = int(state["start_index"])
-        self._steps_taken = int(state["steps_taken"])
-        self._needs_reset = bool(state["needs_reset"])
-        self._temps = temps
+        fleet = self._fleet
+        fleet._place(0, int(state["index"]), int(state["steps_taken"]))
+        fleet._temps[0] = temps
+        fleet._needs_reset = bool(state["needs_reset"])
+        fleet._done[0] = False
         set_rng_state(self._rng, state["rng"])
         set_rng_state(self._forecast._rng, state["forecast_rng"])
 
@@ -334,12 +242,12 @@ class HVACEnv(Env):
     @property
     def zone_temps_c(self) -> np.ndarray:
         """Current zone temperatures (read-only copy)."""
-        return self._temps.copy()
+        return self._fleet._temps[0].copy()
 
     @property
     def time_index(self) -> int:
         """Current index into the weather trace (advances each step)."""
-        return self._index
+        return int(self._fleet._idx[0])
 
     @property
     def obs_dim(self) -> int:

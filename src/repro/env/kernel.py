@@ -30,8 +30,9 @@ class StepColumns:
     ----------
     flow_table:
         ``(n, max_levels)`` airflow (kg/s) of each level, zero-padded.
-    supply_temp, oaf, cop:
-        ``(n,)`` supply-air temperature, outdoor-air fraction and COP.
+    supply_temp, oaf, recirc, cop:
+        ``(n,)`` supply-air temperature, outdoor-air fraction, its
+        complement ``1 - oaf`` (the return-air fraction) and COP.
     fan_scale:
         ``(n,)`` ``fan_power_max_w * n_zones`` (fan power at full flow).
     plant_max_flow:
@@ -54,6 +55,7 @@ class StepColumns:
     flow_table: np.ndarray
     supply_temp: np.ndarray
     oaf: np.ndarray
+    recirc: np.ndarray
     cop: np.ndarray
     fan_scale: np.ndarray
     plant_max_flow: np.ndarray
@@ -93,10 +95,12 @@ def step_columns(envs: Sequence) -> StepColumns:
     def column(values, shape=(n,)):
         return np.array(list(values), dtype=float).reshape(shape)
 
+    oaf = column(cfg.outdoor_air_fraction for cfg in vavs)
     return StepColumns(
         flow_table=flow_table,
         supply_temp=column(cfg.supply_temp_c for cfg in vavs),
-        oaf=column(cfg.outdoor_air_fraction for cfg in vavs),
+        oaf=oaf,
+        recirc=1.0 - oaf,
         cop=column(cfg.cop for cfg in vavs),
         fan_scale=column(cfg.fan_power_max_w * m for cfg, m in zip(vavs, zones)),
         plant_max_flow=column(cfg.max_flow_kg_s * m for cfg, m in zip(vavs, zones)),
@@ -135,12 +139,13 @@ def plant(
 ) -> tuple:
     """VAV plant response to airflow ``levels`` at zone ``temps``.
 
-    Returns ``(flows, hvac_heat_w, power_w)``: per-zone airflow (kg/s)
-    and heat delivered by the supply air (negative = cooling), and the
-    plant's electric power, W.  Fan power follows the affinity (cube)
-    law on the total-flow fraction; the coil cools the mixed air —
-    flow-weighted return air blended with ``oaf`` of ambient — down to
-    supply temperature, and is off under free cooling.
+    Returns ``(share, hvac_heat_w, power_w)``: each zone's share of the
+    plant's airflow (an equal share when the plant is off), the heat the
+    supply air delivers per zone (negative = cooling) and the plant's
+    electric power, W.  Fan power follows the affinity (cube) law on the
+    total-flow fraction; the coil cools the mixed air — flow-weighted
+    return air blended with ``oaf`` of ambient — down to supply
+    temperature, and is off under free cooling.
     """
     supply = cols.supply_temp
     oaf = cols.oaf
@@ -151,11 +156,13 @@ def plant(
     frac = total_flow / cols.plant_max_flow
     fan_power = cols.fan_scale * np.power(frac, 3)
     safe_total = np.where(on, total_flow, 1.0)
+    share = np.where(on[:, None], flows / safe_total[:, None], cols.equal_share)
     return_temp = (flows * temps).sum(axis=1) / safe_total
-    mixed = (1.0 - oaf) * return_temp + oaf * temp_out
+    mixed = cols.recirc * return_temp + oaf * temp_out
     delta = np.maximum(mixed - supply, 0.0)
-    coil_power = np.where(on, total_flow * AIR_CP_J_PER_KG_K * delta / cols.cop, 0.0)
-    return flows, hvac_heat, fan_power + coil_power
+    # With the plant off, total_flow is 0 and so is the coil term.
+    coil_power = total_flow * AIR_CP_J_PER_KG_K * delta / cols.cop
+    return share, hvac_heat, fan_power + coil_power
 
 
 def advance(
@@ -195,7 +202,7 @@ def outcome(
     cols: StepColumns,
     new_temps: np.ndarray,
     occupied,
-    flows: np.ndarray,
+    share: np.ndarray,
     power_w: np.ndarray,
     price,
     dt_seconds: float,
@@ -205,11 +212,10 @@ def outcome(
 
     The reward is ``-cost_weight·cost - comfort_weight·violation
     degree-hours``.  Its per-zone split sums to it: energy cost goes to
-    zones by airflow share (equally when the plant is off), the comfort
-    penalty to the zone that violated.
+    zones by :func:`plant`'s airflow ``share``, the comfort penalty to
+    the zone that violated.
     """
     dt_hours = dt_seconds / 3600.0
-    cost_w = cols.cost_weight
     comfort_w = cols.comfort_weight
     energy_kwh = power_w * dt_seconds / 3.6e6
     cost_usd = energy_kwh * price
@@ -217,17 +223,13 @@ def outcome(
     low = np.where(occupied, cols.occ_low, cols.set_low)
     high = np.where(occupied, cols.occ_high, cols.set_high)
     violations = np.maximum(0.0, np.maximum(new_temps - high, low - new_temps))
-    violations = np.where(cols.zone_mask, violations, 0.0)
+    violations *= cols.zone_mask  # padded zones score 0 (violations are >= 0)
     violation_deg_hours = violations.sum(axis=1) * dt_hours
 
-    reward = -cost_w * cost_usd - comfort_w * violation_deg_hours
-    total_flow = flows.sum(axis=1)
-    on = total_flow > 0.0
-    safe_total = np.where(on, total_flow, 1.0)
-    cost_share = np.where(on[:, None], flows / safe_total[:, None], cols.equal_share)
+    weighted_cost = -cols.cost_weight * cost_usd
+    reward = weighted_cost - comfort_w * violation_deg_hours
     reward_per_zone = (
-        -cost_w[:, None] * cost_usd[:, None] * cost_share
-        - comfort_w[:, None] * violations * dt_hours
+        weighted_cost[:, None] * share - comfort_w[:, None] * violations * dt_hours
     )
     return Outcome(
         energy_kwh, cost_usd, violations, violation_deg_hours, reward, reward_per_zone
@@ -265,7 +267,7 @@ def step_rows(
     ``occupied``/``gains`` (W) broadcast against ``(n, z)``.  Heat inputs —
     solar, internal and HVAC — are zero-order held over the step.
     """
-    flows, hvac_heat, power_w = plant(cols, levels, temps, temp_out)
+    share, hvac_heat, power_w = plant(cols, levels, temps, temp_out)
     heat = cols.aperture * ghi[:, None] + gains + hvac_heat
     new_temps = advance(
         decay, gain, temps, temp_out, heat, network.capacitance, network.ua_ambient
@@ -273,5 +275,5 @@ def step_rows(
     return StepRows(
         new_temps,
         power_w,
-        outcome(cols, new_temps, occupied, flows, power_w, price, dt_seconds),
+        outcome(cols, new_temps, occupied, share, power_w, price, dt_seconds),
     )

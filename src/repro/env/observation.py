@@ -14,13 +14,19 @@ for the Q-network; nothing outside this module reads them.  Like
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.weather.series import SECONDS_PER_DAY, SECONDS_PER_HOUR
+from repro.weather.solar import ROW_MEMO_SIZE
+
+#: Distinct (tariff or schedule, trace clock) rows that stay memoized: a
+#: clock carries one tariff and a few schedules.
+COMPONENT_ROW_MEMO_SIZE = 4 * ROW_MEMO_SIZE
 
 TEMP_CENTER_C = 23.0
 TEMP_SCALE_C = 10.0
@@ -167,30 +173,52 @@ class TimeTables:
     last: np.ndarray
 
 
+# The methods :func:`time_tables` samples a tariff and a schedule by.
+_TARIFF_METHODS = ("price_per_kwh",)
+_SCHEDULE_METHODS = ("occupied", "gains_w_per_m2")
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=ROW_MEMO_SIZE)
 def _clock_rows(start_day: int, t: int, dt: float) -> tuple:
-    """Days, hours and ``(t, 3)`` clock channels of a trace clock."""
+    """Days, hours and ``(t, 3)`` clock channels of a trace clock
+    (read-only, memoized per clock)."""
     seconds = np.arange(t) * dt
     hours = (seconds % SECONDS_PER_DAY) / SECONDS_PER_HOUR
     days = ((start_day - 1 + (seconds // SECONDS_PER_DAY).astype(int)) % 365) + 1
     angle = 2.0 * np.pi * hours / 24.0
     workday = np.where((days - 1) % 7 >= 5, 0.0, 1.0)
-    return days, hours, np.stack([np.sin(angle), np.cos(angle), workday], axis=1)
+    return _read_only(days, hours, np.stack([np.sin(angle), np.cos(angle), workday], axis=1))
 
 
-def _price_row(tariff, days: List[int], hours: List[float]) -> np.ndarray:
-    """A tariff's $/kWh at every ``(day, hour)`` sample of a trace clock."""
-    return np.array(
-        [tariff.price_per_kwh(d, h) for d, h in zip(days, hours)], dtype=float
-    )
+def _sample(component, methods: Tuple[str, ...], clock: tuple) -> tuple:
+    """One row per named method of a tariff or schedule: its value at
+    every ``(day, hour)`` sample of a trace clock."""
+    days, hours, _ = _clock_rows(*clock)
+    samples = list(zip(days.tolist(), hours.tolist()))
+    calls = [getattr(component, name) for name in methods]
+    return tuple(np.array([call(d, h) for d, h in samples]) for call in calls)
 
 
-def _schedule_rows(
-    sched, days: List[int], hours: List[float]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """A schedule's occupancy flags and gains (W/m²) at every sample."""
-    occupied = [sched.occupied(d, h) for d, h in zip(days, hours)]
-    gains = [sched.gains_w_per_m2(d, h) for d, h in zip(days, hours)]
-    return np.array(occupied, dtype=bool), np.array(gains, dtype=float)
+@functools.lru_cache(maxsize=COMPONENT_ROW_MEMO_SIZE)
+def _memo_sample(component, methods: Tuple[str, ...], clock: tuple) -> tuple:
+    return _read_only(*_sample(component, methods, clock))
+
+
+def _component_rows(component, methods: Tuple[str, ...], clock: tuple) -> tuple:
+    """:func:`_sample`, memoized per (component, clock): components are
+    frozen and value-hashable, so equal ones share rows across envs,
+    fleets and scalar envs.  An unhashable custom component gets its rows
+    built for its own env."""
+    try:
+        return _memo_sample(component, methods, clock)
+    except TypeError:  # unhashable: no memoization
+        return _sample(component, methods, clock)
 
 
 def time_tables(envs: Sequence) -> TimeTables:
@@ -200,11 +228,11 @@ def time_tables(envs: Sequence) -> TimeTables:
     the :class:`~repro.env.hvac_env.HVACEnv` surface.  The clock rows
     depend only on the trace clock ``(start_day, T, dt)``, and a
     tariff's price row and a schedule's occupancy/gains rows only on the
-    component and the clock, so each distinct row is built once per call
-    — keyed on the clock and the (frozen, value-hashable) component —
-    and copied to every env that uses it.  Fleets of similar buildings thus pay the per-sample
-    Python cost once per shared clock.  An unhashable custom component
-    gets its rows built for its own env.
+    component and the clock, so each distinct row is built once per
+    process (bounded memos, :data:`ROW_MEMO_SIZE` clocks and
+    :data:`COMPONENT_ROW_MEMO_SIZE` component rows) and copied to every
+    env that uses it: fleets of similar buildings, and scalar envs alike,
+    pay the per-sample Python cost once per shared clock.
     """
     n = len(envs)
     trace_len = np.array([len(env.weather) for env in envs])
@@ -217,26 +245,11 @@ def time_tables(envs: Sequence) -> TimeTables:
     day = np.zeros((n, t_max), dtype=int)
     hour = np.zeros((n, t_max))
 
-    clocks: Dict[tuple, tuple] = {}
-    rows: Dict[tuple, object] = {}
-
-    def component_rows(component, sample_rows, key, days, hours):
-        try:
-            return rows[(component, key)]
-        except TypeError:  # unhashable custom component: no memoization
-            return sample_rows(component, days.tolist(), hours.tolist())
-        except KeyError:
-            built = sample_rows(component, days.tolist(), hours.tolist())
-            rows[(component, key)] = built
-            return built
-
     for k, env in enumerate(envs):
         weather = env.weather
         t = len(weather)
         key = (weather.start_day_of_year, t, weather.dt_seconds)
-        if key not in clocks:
-            clocks[key] = _clock_rows(*key)
-        days, hours, clock_rows = clocks[key]
+        days, hours, clock_rows = _clock_rows(*key)
         clock[k, :t] = clock_rows
         hour[k, :t] = hours
         day[k, :t] = days
@@ -246,11 +259,11 @@ def time_tables(envs: Sequence) -> TimeTables:
         exo[k, t:, 1] = weather.ghi_w_m2[-1]
         hour[k, t:] = hours[-1]
         day[k, t:] = days[-1]
-        exo[k, :t, 2] = component_rows(env.tariff, _price_row, key, days, hours)
+        exo[k, :t, 2], = _component_rows(env.tariff, _TARIFF_METHODS, key)
         for j, (zone, sched) in enumerate(
             zip(env.building.zones, env.building.schedules)
         ):
-            flags, w_per_m2 = component_rows(sched, _schedule_rows, key, days, hours)
+            flags, w_per_m2 = _component_rows(sched, _SCHEDULE_METHODS, key)
             occupied[k, :t, j] = flags
             gains[k, :t, j] = w_per_m2 * zone.floor_area_m2
     return TimeTables(clock, exo, occupied, gains, day, hour, trace_len - 1)
@@ -258,25 +271,26 @@ def time_tables(envs: Sequence) -> TimeTables:
 
 # ---------------------------------------------------------------- forecast
 def forecast(
-    tables: TimeTables,
-    rows: np.ndarray,
-    index: np.ndarray,
+    exo: np.ndarray,
+    at: np.ndarray,
+    last: np.ndarray,
     scales: np.ndarray,
     noise: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Noisy weather forecasts of leads ``1..h`` from sample ``index`` of
-    table ``rows`` (both ``(n,)``).
+    """Noisy weather forecasts of leads ``1..h`` from sample ``at`` of
+    :class:`TimeTables` ``exo`` flattened to ``(n_rows * T, 3)``.
 
-    Lead ``k`` reads the trace at ``min(index + k, last)``, so the last
+    ``at`` and ``last`` are ``(n,)`` flat indices of each row's current
+    and last sample; lead ``k`` reads ``min(at + k, last)``, so the last
     sample persists.  ``noise`` holds ``(n, 2h)`` normals as
     :meth:`~repro.weather.forecast.ForecastProvider.draw_noise` draws
     them (temperature then GHI, per lead), ``scales`` the std of each.
     Temperature error is additive, GHI error relative, GHI never
     negative.  Returns ``(temps, ghis)``, each ``(n, h)``.
     """
-    n, h = len(rows), scales.shape[1] // 2
-    j = np.minimum(index[:, None] + np.arange(1, h + 1), tables.last[rows][:, None])
-    truth = tables.exo[rows[:, None], j, :2].reshape(n, 2 * h)
+    n, h = len(at), scales.shape[1] // 2
+    j = np.minimum(at[:, None] + np.arange(1, h + 1), last[:, None])
+    truth = exo.take(j, 0)[..., :2].reshape(n, 2 * h)
     error = 0.0 + scales * noise  # a -0.0 error reads +0.0, as recorded
     temps = truth[:, 0::2] + error[:, 0::2]
     ghis = np.maximum(truth[:, 1::2] * (1.0 + error[:, 1::2]), 0.0)
@@ -298,14 +312,12 @@ def encode(
     ``now`` and ``occupied`` are :class:`TimeTables` ``clock``, ``exo``
     and ``occupied`` at each row's time index, ``temps`` the ``(n,
     n_zones)`` zone temperatures (°C), ``f_temp``/``f_ghi`` the
-    :func:`forecast` rows.  Each row gets ``pad`` trailing zeros."""
-    obs = np.zeros((temps.shape[0], layout.obs_dim + pad))
-    obs[:, layout.clock] = clock
-    obs[:, layout.occupied] = occupied
-    obs[:, layout.temps] = temps
-    obs[:, layout.temp_out : layout.price + 1] = now
-    obs[:, layout.forecast_temp] = f_temp
-    obs[:, layout.forecast_ghi] = f_ghi
+    :func:`forecast` rows, in the layout's channel order.  Each row gets
+    ``pad`` trailing zeros."""
+    obs = np.concatenate(
+        [clock, occupied, temps, now, f_temp, f_ghi, np.zeros((len(temps), pad))],
+        axis=1,
+    )
     center, scale = layout.scaling
     body = obs[:, : layout.obs_dim]
     body -= center

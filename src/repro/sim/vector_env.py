@@ -18,17 +18,19 @@ fleet's widest layout (most zones, longest forecast horizon) and mapped
 onto each env's own layout by one precomputed per-env column index;
 rows are right-padded with zeros to the longest observation vector.
 
-Parity: a fleet of N identical configs reproduces N independent scalar
-envs' trajectories byte-identically, including RNG consumption — the
-vector env drives each scalar env's own generators for resets and
-forecast noise, and both go through the same kernel
-(:func:`repro.env.kernel.step_rows`) and observation code
-(:mod:`repro.env.observation`), the fleet with one row per env and the
-scalar env with a single row.
+Parity: the scalar :class:`~repro.env.hvac_env.HVACEnv` *is* a one-row
+fleet — its ``reset``/``step``/checkpoint drive a ``VectorHVACEnv([env],
+autoreset=False)`` — so a fleet of N envs reproduces N scalar envs'
+trajectories byte-identically exactly when a row's trajectory does not
+depend on its fleet-mates.  Every random draw comes from the member
+env's own generators, in env order: the reset draws (start day, then
+initial temperatures) from ``env._rng`` and the forecast noise from
+``env._forecast``.
 
 Fleet state is structure-of-arrays: the static per-env kernel columns
 (:func:`repro.env.kernel.step_columns`) and time tables built once at
-construction, plus the dynamic state.
+construction, plus the dynamic state (zone temperatures, trace indices,
+episode bounds, done flags), which the fleet alone owns.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.env.hvac_env import HVACEnv
-from repro.env.kernel import step_columns, step_rows
+from repro.env.kernel import Outcome, StepRows, step_columns, step_rows
 from repro.env.observation import ObsLayout, encode, forecast, time_tables
 from repro.sim.batch_thermal import BatchRCNetwork
+from repro.utils.seeding import rng_state, set_rng_state
 
 
 @dataclass
@@ -74,20 +77,20 @@ class BatchStepInfo:
         """One environment's info dict (zone arrays trimmed to its width)."""
         m = int(n_zones)
         return {
-            "energy_kwh": float(self.energy_kwh[k]),
-            "cost_usd": float(self.cost_usd[k]),
-            "power_w": float(self.power_w[k]),
-            "violation_deg_hours": float(self.violation_deg_hours[k]),
+            "energy_kwh": self.energy_kwh.item(k),
+            "cost_usd": self.cost_usd.item(k),
+            "power_w": self.power_w.item(k),
+            "violation_deg_hours": self.violation_deg_hours.item(k),
             "violation_per_zone_deg": self.violation_per_zone_deg[k, :m].copy(),
             "reward_per_zone": self.reward_per_zone[k, :m].copy(),
             "temps_c": self.temps_c[k, :m].copy(),
-            "temp_out_c": float(self.temp_out_c[k]),
-            "ghi_w_m2": float(self.ghi_w_m2[k]),
-            "price_per_kwh": float(self.price_per_kwh[k]),
+            "temp_out_c": self.temp_out_c.item(k),
+            "ghi_w_m2": self.ghi_w_m2.item(k),
+            "price_per_kwh": self.price_per_kwh.item(k),
             "levels": self.levels[k, :m].copy(),
             "occupied": self.occupied[k, :m].copy(),
-            "day_of_year": int(self.day_of_year[k]),
-            "hour_of_day": float(self.hour_of_day[k]),
+            "day_of_year": self.day_of_year.item(k),
+            "hour_of_day": self.hour_of_day.item(k),
         }
 
 
@@ -129,8 +132,9 @@ class VectorHVACEnv:
     envs:
         The scalar environments to batch.  They remain the owners of all
         configuration and randomness; the vector env precomputes their
-        time-varying inputs into tables and advances their dynamics as
-        stacked arrays.  All envs must share one control-step length.
+        time-varying inputs into tables, owns their episode state and
+        advances it as stacked arrays.  All envs must share one
+        control-step length.
     autoreset:
         When True (default), an environment that terminates is reset
         immediately and the returned observation row is the fresh
@@ -168,14 +172,49 @@ class VectorHVACEnv:
         self.zone_mask = self._cols.zone_mask
         self._episode_steps = np.array([env.episode_steps for env in self.envs])
         self._n_levels = np.array([env.vav.n_levels for env in self.envs])
+        self._level_limit = self._n_levels[:, None].astype(np.uint64)
+        self._padded = not self.zone_mask.all()
+        self._rows = np.arange(n)
+        # What each reset draws from: the env's generator, the last start
+        # day it may draw (0 when it does not randomize), steps per day,
+        # the occupied band's midpoint, the initial-temperature half-width
+        # and the zone count.
+        self._reset_draws = [
+            (
+                env._rng,
+                int(len(env.weather) / env.steps_per_day - env.config.episode_days)
+                if env.config.randomize_start_day else 0,
+                env.steps_per_day,
+                0.5 * (env.comfort.occupied_low_c + env.comfort.occupied_high_c),
+                env.config.initial_temp_noise_c,
+                env.building.n_zones,
+            )
+            for env in self.envs
+        ]
 
-        self._tables = time_tables(self.envs)
+        tab = self._tables = time_tables(self.envs)
+        # Flat ``(n * T, ...)`` views of the tables: row k's sample i sits
+        # at ``_row_start[k] + i``, so a step gathers with one index array
+        # (``take`` along axis 0 is the fastest gather for small fleets).
+        self._row_start = self._rows * tab.day.shape[1]
+        self._last_at = self._row_start + tab.last
+        self._flat_exo = tab.exo.reshape(-1, 3)
+        self._flat_clock = tab.clock.reshape(-1, 3)
+        self._flat_occupied = tab.occupied.reshape(-1, z)
+        self._flat_gains = tab.gains.reshape(-1, z)
+        self._flat_day = tab.day.reshape(-1)
+        self._flat_hour = tab.hour.reshape(-1)
         self._build_obs_columns()
 
         # ------------------------------------------------------ dynamic state
-        self._temps = np.zeros((n, z))
+        # Before the first reset every zone sits mid-band (padding at 0).
+        mid = [draw[3] for draw in self._reset_draws]
+        self._temps = np.where(self.zone_mask, np.array(mid)[:, None], 0.0)
+        # Each row's trace index, and the indices its episode started at
+        # and ends at (``episode_steps`` later, or the trace's last sample).
         self._idx = np.zeros(n, dtype=int)
-        self._steps_taken = np.zeros(n, dtype=int)
+        self._start = np.zeros(n, dtype=int)
+        self._end = np.minimum(self._episode_steps, tab.last)
         self._done = np.zeros(n, dtype=bool)
         self._last_obs = np.zeros((n, self.max_obs_dim))
         self._needs_reset = True
@@ -199,6 +238,8 @@ class VectorHVACEnv:
         self.max_obs_dim = int(self.obs_dims.max())
         self._obs_columns = np.full((n, self.max_obs_dim), wide.obs_dim)
         columns = {lay: lay.columns_in(wide) for lay in set(layouts)}
+        # Every row in the wide layout itself: the mapping is a slice.
+        self._obs_identity = set(layouts) == {wide}
         self._forecasters = []
         self._f_scales = np.zeros((n, 2 * h_max))
         for k, (env, lay) in enumerate(zip(self.envs, layouts)):
@@ -226,13 +267,6 @@ class VectorHVACEnv:
         return self.envs[0].action_space
 
     @property
-    def single_observation_space(self):
-        """The shared per-env observation space (requires homogeneity)."""
-        if not self.homogeneous:
-            raise ValueError("fleet is heterogeneous: no single observation space")
-        return self.envs[0].observation_space
-
-    @property
     def zone_temps_c(self) -> np.ndarray:
         """Current zone temperatures, ``(n_envs, max_zones)`` (copy)."""
         return self._temps.copy()
@@ -241,6 +275,11 @@ class VectorHVACEnv:
     def time_indices(self) -> np.ndarray:
         """Current per-env weather-trace indices (copy)."""
         return self._idx.copy()
+
+    @property
+    def _steps_taken(self) -> np.ndarray:
+        """Steps each row has taken this episode."""
+        return self._idx - self._start
 
     @property
     def dones(self) -> np.ndarray:
@@ -273,57 +312,72 @@ class VectorHVACEnv:
     # ------------------------------------------------------------ lifecycle
     def reset(self) -> np.ndarray:
         """Reset every env; returns the stacked initial observations."""
-        for k, env in enumerate(self.envs):
-            self._reset_env(k)
+        self._reset_rows(self._rows)
         self._done[:] = False
         self._needs_reset = False
-        self._assemble_obs(np.arange(self.n_envs))
+        self._assemble_obs()
         return self._last_obs.copy()
 
-    def _reset_env(self, k: int) -> None:
-        env = self.envs[k]
-        env.reset_state()  # consumes env._rng exactly as a scalar reset
-        m = env.building.n_zones
-        self._temps[k, :] = 0.0
-        self._temps[k, :m] = env._temps
-        self._idx[k] = env._index
-        self._steps_taken[k] = 0
+    def _reset_rows(self, rows: np.ndarray) -> None:
+        """Start a new episode in each of ``rows``, in env order: each env's
+        generator draws the start day (when it randomizes it), then the
+        initial zone temperatures."""
+        starts = []
+        for k in rows.tolist():
+            rng, max_start_day, steps_per_day, mid, noise, m = self._reset_draws[k]
+            start_day = int(rng.integers(0, max_start_day + 1)) if max_start_day > 0 else 0
+            starts.append(start_day * steps_per_day)
+            self._temps[k, :m] = mid + rng.uniform(-noise, noise, size=m)
+            self._temps[k, m:] = 0.0
+        self._place(rows, starts, 0)
 
-    def _assemble_obs(self, indices: np.ndarray) -> None:
-        """Recompute observation rows for ``indices`` into ``_last_obs``."""
-        if indices.size == 0:
+    def _place(self, rows, index, steps_taken) -> None:
+        """Put ``rows`` at trace ``index``, ``steps_taken`` into episodes."""
+        self._idx[rows] = index
+        start = self._start[rows] = np.asarray(index) - steps_taken
+        self._end[rows] = np.minimum(
+            start + self._episode_steps[rows], self._tables.last[rows]
+        )
+
+    def _assemble_obs(self, rows: Optional[np.ndarray] = None) -> None:
+        """Recompute the observation of ``rows`` (default: every row) into
+        ``_last_obs``."""
+        pick = slice(None) if rows is None else rows
+        ks = self._rows[pick].tolist()
+        if not ks:
             return
-        tab = self._tables
-        i = self._idx[indices]
+        at = self._row_start[pick] + self._idx[pick]
         # The one irreducible per-env loop: the raw normal draws must come
-        # from each env's own forecast generator, in env order, exactly
-        # as the scalar envs would consume them.
-        noise = np.zeros((indices.size, 2 * self._wide.horizon))
-        for p, k in enumerate(indices.tolist()):
+        # from each env's own forecast generator, in env order.
+        noise = np.zeros((len(ks), 2 * self._wide.horizon))
+        for p, k in enumerate(ks):
             provider = self._forecasters[k]
             if provider is not None:
                 noise[p, : 2 * provider.horizon] = provider.draw_noise()
         f_temp, f_ghi = forecast(
-            tab, indices, i, self._f_scales[indices], noise
+            self._flat_exo, at, self._last_at[pick], self._f_scales[pick], noise
         )
         wide = encode(
-            self._wide, tab.clock[indices, i], tab.occupied[indices, i],
-            self._temps[indices], tab.exo[indices, i], f_temp, f_ghi, pad=1,
+            self._wide, self._flat_clock.take(at, 0), self._flat_occupied.take(at, 0),
+            self._temps[pick], self._flat_exo.take(at, 0), f_temp, f_ghi, pad=1,
         )
-        self._last_obs[indices] = np.take_along_axis(
-            wide, self._obs_columns[indices], axis=1
-        )
+        if self._obs_identity:
+            self._last_obs[pick] = wide[:, : self.max_obs_dim]
+        else:
+            self._last_obs[pick] = np.take_along_axis(
+                wide, self._obs_columns[pick], axis=1
+            )
 
     # -------------------------------------------------------------- stepping
     def _coerce_actions(self, actions) -> np.ndarray:
         if isinstance(actions, (list, tuple)) and actions and np.ndim(actions[0]) > 0:
-            levels = np.zeros((self.n_envs, self.max_zones), dtype=int)
+            levels = np.zeros((self.n_envs, self.max_zones), dtype=np.int64)
             if len(actions) != self.n_envs:
                 raise ValueError(
                     f"need {self.n_envs} per-env actions, got {len(actions)}"
                 )
             for k, a in enumerate(actions):
-                a = np.asarray(a, dtype=int)
+                a = np.asarray(a, dtype=np.int64)
                 m = int(self.n_zones[k])
                 if a.shape != (m,):
                     raise ValueError(
@@ -331,7 +385,7 @@ class VectorHVACEnv:
                     )
                 levels[k, :m] = a
         else:
-            levels = np.asarray(actions, dtype=int)
+            levels = np.asarray(actions, dtype=np.int64)
             if levels.ndim == 1 and self.max_zones == 1:
                 levels = levels[:, None]
             if levels.shape != (self.n_envs, self.max_zones):
@@ -339,10 +393,28 @@ class VectorHVACEnv:
                     f"actions must have shape ({self.n_envs}, {self.max_zones}), "
                     f"got {levels.shape}"
                 )
-            levels = np.where(self.zone_mask, levels, 0)
-        if np.any(levels < 0) or np.any(levels >= self._n_levels[:, None]):
-            raise ValueError("an action level is outside its env's valid range")
+            if self._padded:
+                levels = np.where(self.zone_mask, levels, 0)
+        # Viewed unsigned, a negative level is huge: one test checks both bounds.
+        if np.count_nonzero(levels.view(np.uint64) >= self._level_limit):
+            raise ValueError("an action level is not in its env's valid range")
         return levels
+
+    def _step_rows(self, levels: np.ndarray) -> Tuple[StepRows, tuple]:
+        """The kernel's step of ``levels`` from the current state, and its
+        inputs ``(at, temp_out, ghi, price, occupied)`` (``at``: flat table
+        indices).  Nothing moves; a one-row fleet scores any number of
+        candidate ``levels`` rows at once (the lookahead oracle)."""
+        at = self._row_start + self._idx
+        temp_out, ghi, price = self._flat_exo.take(at, 0).T
+        occupied = self._flat_occupied.take(at, 0)
+        net = self.batch_net
+        decay, gain = net._propagators(self.dt_seconds)
+        rows = step_rows(
+            self._cols, net, decay, gain, levels, self._temps,
+            temp_out, ghi, price, occupied, self._flat_gains.take(at, 0), self.dt_seconds,
+        )
+        return rows, (at, temp_out, ghi, price, occupied)
 
     def step(self, actions) -> Tuple[np.ndarray, np.ndarray, np.ndarray, BatchStepInfo]:
         """Apply per-env, per-zone airflow levels for one control step.
@@ -355,67 +427,68 @@ class VectorHVACEnv:
         if self._needs_reset:
             raise RuntimeError("call reset() before step()")
         levels = self._coerce_actions(actions)
-        n = self.n_envs
-        rows = np.arange(n)
+        (new_temps, power_w, out), (at, temp_out, ghi, price, occupied) = (
+            self._step_rows(levels)
+        )
         active = ~self._done
-        i = self._idx
-        tab = self._tables
-        temp_out, ghi, price = tab.exo[rows, i].T
-        occupied = tab.occupied[rows, i]
-        gains = tab.gains[rows, i]
-        day = tab.day[rows, i]
-        hour = tab.hour[rows, i]
-        net = self.batch_net
-        decay, gain = net._propagators(self.dt_seconds)
-        stepped, power_w, out = step_rows(
-            self._cols, net, decay, gain, levels, self._temps,
-            temp_out, ghi, price, occupied, gains, self.dt_seconds,
-        )
-
-        # Freeze finished envs (autoreset=False) and advance the rest.
-        new_temps = np.where(active[:, None], stepped, self._temps)
+        moving = None  # every row
+        frozen = np.count_nonzero(self._done)
+        if frozen:
+            # Freeze finished envs (autoreset=False): they keep their
+            # state and report zeros.
+            moving = self._rows[active]
+            col = active[:, None]
+            new_temps = np.where(col, new_temps, self._temps)
+            power_w = np.where(active, power_w, 0.0)
+            occupied = occupied & col
+            out = Outcome(
+                energy_kwh=np.where(active, out.energy_kwh, 0.0),
+                cost_usd=np.where(active, out.cost_usd, 0.0),
+                violations=out.violations * col,
+                violation_deg_hours=np.where(active, out.violation_deg_hours, 0.0),
+                reward=np.where(active, out.reward, 0.0),
+                reward_per_zone=out.reward_per_zone * col,
+            )
         self._temps = new_temps
-        self._idx = i + active.astype(int)
-        self._steps_taken += active.astype(int)
-        newly_done = active & (
-            (self._steps_taken >= self._episode_steps) | (self._idx >= tab.last)
-        )
-        self._assemble_obs(rows[active])
+        self._idx += active
+        newly_done = self._idx >= self._end
+        if frozen:
+            newly_done &= active
+        self._assemble_obs(moving)
 
         info = BatchStepInfo(
-            energy_kwh=np.where(active, out.energy_kwh, 0.0),
-            cost_usd=np.where(active, out.cost_usd, 0.0),
-            power_w=np.where(active, power_w, 0.0),
-            violation_deg_hours=np.where(active, out.violation_deg_hours, 0.0),
-            violation_per_zone_deg=out.violations * active[:, None],
-            reward_per_zone=out.reward_per_zone * active[:, None],
+            energy_kwh=out.energy_kwh,
+            cost_usd=out.cost_usd,
+            power_w=power_w,
+            violation_deg_hours=out.violation_deg_hours,
+            violation_per_zone_deg=out.violations,
+            reward_per_zone=out.reward_per_zone,
             temps_c=new_temps.copy(),
             temp_out_c=temp_out,
             ghi_w_m2=ghi,
             price_per_kwh=price,
             levels=levels.copy(),
-            occupied=occupied & active[:, None],
-            day_of_year=day,
-            hour_of_day=hour,
-            active=active.copy(),
+            occupied=occupied,
+            day_of_year=self._flat_day[at],
+            hour_of_day=self._flat_hour[at],
+            active=active,
         )
 
         if self.autoreset:
-            if np.any(newly_done):
+            if np.count_nonzero(newly_done):
                 info.terminal_obs = self._last_obs.copy()
-                for k in rows[newly_done]:
-                    self._reset_env(k)
-                self._assemble_obs(rows[newly_done])
+                finished = self._rows[newly_done]
+                self._reset_rows(finished)
+                self._assemble_obs(finished)
         else:
             self._done |= newly_done
-        dones = newly_done | (~active)
-        reward = np.where(active, out.reward, 0.0)
-        return self._last_obs.copy(), reward, dones, info
+        dones = newly_done | ~active if frozen else newly_done
+        return self._last_obs.copy(), out.reward, dones, info
 
     # -------------------------------------------------------- checkpointing
     def state_dict(self) -> dict:
-        """Serialize fleet dynamic state (and every member env's RNG
-        streams) to a JSON-safe dict.
+        """Serialize fleet dynamic state and every member env's RNG
+        streams to a JSON-safe dict.
 
         Like the scalar env, configuration is not stored: restore into a
         ``VectorHVACEnv`` built over an identically constructed fleet.
@@ -430,11 +503,19 @@ class VectorHVACEnv:
             "done": encode_array(self._done),
             "last_obs": encode_array(self._last_obs),
             "needs_reset": bool(self._needs_reset),
-            "envs": [env.state_dict() for env in self.envs],
+            "envs": [
+                {"rng": rng_state(env._rng), "forecast_rng": rng_state(env._forecast._rng)}
+                for env in self.envs
+            ],
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot into this fleet."""
+        """Restore a :meth:`state_dict` snapshot into this fleet.
+
+        Snapshots that also hold each member's scalar episode state (the
+        layout before the fleet owned it) load too; only their RNG
+        streams are read.
+        """
         from repro.nn.serialization import decode_array
 
         if int(state["n_envs"]) != self.n_envs:
@@ -442,24 +523,28 @@ class VectorHVACEnv:
                 f"fleet size mismatch: have {self.n_envs} envs, "
                 f"state has {state['n_envs']}"
             )
-        for name, attr in (
-            ("temps", "_temps"),
-            ("idx", "_idx"),
-            ("steps_taken", "_steps_taken"),
-            ("done", "_done"),
-            ("last_obs", "_last_obs"),
+        arrays = {}
+        for name, current in (
+            ("temps", self._temps),
+            ("idx", self._idx),
+            ("steps_taken", self._idx),
+            ("done", self._done),
+            ("last_obs", self._last_obs),
         ):
-            value = decode_array(state[name])
-            current = getattr(self, attr)
-            if value.shape != current.shape:
+            arrays[name] = decode_array(state[name])
+            if arrays[name].shape != current.shape:
                 raise ValueError(
-                    f"vector-env state {name} has shape {value.shape}, "
+                    f"vector-env state {name} has shape {arrays[name].shape}, "
                     f"expected {current.shape}"
                 )
-            np.copyto(current, value)
+        np.copyto(self._temps, arrays["temps"])
+        np.copyto(self._done, arrays["done"])
+        np.copyto(self._last_obs, arrays["last_obs"])
+        self._place(self._rows, arrays["idx"], arrays["steps_taken"])
         self._needs_reset = bool(state["needs_reset"])
         for env, env_state in zip(self.envs, state["envs"]):
-            env.load_state_dict(env_state)
+            set_rng_state(env._rng, env_state["rng"])
+            set_rng_state(env._forecast._rng, env_state["forecast_rng"])
 
     def close(self) -> None:
         """Release resources (no-op; mirrors the scalar env surface)."""

@@ -75,11 +75,13 @@ class WeatherSeries:
 
     # ------------------------------------------------------------ accessors
     def hour_of_day(self, index: int) -> float:
-        """Local hour of day (0..24) of sample ``index``."""
+        """Local hour of day (0..24) of sample ``index`` (a per-sample
+        reference for the ``hour`` rows of ``time_tables``)."""
         return clock_at(self.start_day_of_year, index, self.dt_seconds)[1]
 
     def day_of_year(self, index: int) -> int:
-        """Day of year (1..365, wrapping) of sample ``index``."""
+        """Day of year (1..365, wrapping) of sample ``index`` (a
+        per-sample reference for the ``day`` rows of ``time_tables``)."""
         return clock_at(self.start_day_of_year, index, self.dt_seconds)[0]
 
     def slice(self, start: int, stop: int) -> "WeatherSeries":

@@ -73,14 +73,14 @@ class TestTimeTables:
         vec = VectorHVACEnv(envs)
         vec.reset()
         vec.step(np.ones((2, 1), dtype=int))
-        assert all("_tables" not in vars(env) for env in envs)
+        assert all("_fleet" not in vars(env) for env in envs)
 
     def test_mpc_plans_on_the_table_rows(self, single_zone_env):
         """MPC's lookahead reads the per-sample truth, last sample held."""
         env = single_zone_env
         mpc = MPCController(env, horizon=4)
         env.reset()
-        env._index = len(env.weather) - 2
+        env.load_state_dict({**env.state_dict(), "index": len(env.weather) - 2})
         inputs = mpc._plan_inputs()
         idx = [len(env.weather) - 2] + [len(env.weather) - 1] * 3
         days = [env.weather.day_of_year(i) for i in idx]

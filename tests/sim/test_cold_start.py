@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 import repro.sim.scenarios as scenarios
-from repro.sim import build_fleet
+from repro.sim import VectorHVACEnv, build_fleet
+from repro.sim.scenarios import get_scenario
 from repro.weather import SyntheticWeatherConfig, generate_weather
 from repro.weather import solar, synthetic
 
@@ -61,3 +62,27 @@ def test_memoized_template_rows_are_read_only_and_not_shared():
     assert np.array_equal(a.temp_out_c, b.temp_out_c)
     assert a.temp_out_c.flags.writeable and a.ghi_w_m2.flags.writeable
     assert not np.shares_memory(a.ghi_w_m2, b.ghi_w_m2)
+
+
+def test_building_envs_and_fleets_builds_no_one_row_fleet(monkeypatch):
+    """A scalar env builds its one-row fleet on first use only: neither
+    ``scenario.build()`` nor a fleet over N scalar envs constructs one
+    (each would cost its own time tables and columns)."""
+    inits = []
+    original = VectorHVACEnv.__init__
+
+    def counting(self, envs, **kwargs):
+        inits.append(len(envs))
+        original(self, envs, **kwargs)
+
+    monkeypatch.setattr(VectorHVACEnv, "__init__", counting)
+    env = get_scenario("five-zone-office").build(0)
+    assert inits == []
+    envs = build_fleet("baseline-tou", [0, 1, 2])
+    fleet = VectorHVACEnv(envs)
+    fleet.reset()
+    fleet.step(np.ones((3, 1), dtype=int))
+    assert inits == [3]
+    assert all("_fleet" not in vars(e) for e in envs + [env])
+    env.reset()
+    assert inits == [3, 1]

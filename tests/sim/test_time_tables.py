@@ -12,13 +12,15 @@ uneven lengths, so the padding past each trace end is pinned too.
 from __future__ import annotations
 
 import hashlib
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from repro.building import Building, ConstantSchedule, single_zone_building
-from repro.env import HVACEnv, HVACEnvConfig
-from repro.hvac.tariffs import Tariff, TimeOfUseTariff
+from repro.env import HVACEnv, HVACEnvConfig, observation
+from repro.hvac.tariffs import FlatTariff, Tariff, TimeOfUseTariff
 from repro.sim import VectorHVACEnv
 from repro.sim.scenarios import get_scenario
 from repro.weather import SyntheticWeatherConfig, generate_weather
@@ -171,3 +173,54 @@ def test_unhashable_tariff_and_schedule_match_per_sample_calls():
         # schedules: those stay zero, as the step never reads them.
         assert np.all(tab.exo[k, last + 1:, 2] == 0.0)
         assert not tab.occupied[k, last + 1:].any()
+
+
+# ------------------------------------------------ process-wide row memo
+_PRICE_CALLS = []
+_TAGS = itertools.count(1)
+
+
+@dataclass(frozen=True)
+class _CountingTariff(FlatTariff):
+    """A value-hashable flat tariff that logs every price lookup;
+    ``tag`` makes each test's instance a key no earlier call memoized."""
+
+    tag: int = 0
+
+    def price_per_kwh(self, day_of_year: int, hour_of_day: float) -> float:
+        _PRICE_CALLS.append((day_of_year, hour_of_day))
+        return super().price_per_kwh(day_of_year, hour_of_day)
+
+
+def test_scalar_envs_on_one_clock_share_tariff_rows():
+    """Two scalar envs (two one-row fleets) on one clock and tariff
+    price each sample once between them, and share read-only rows."""
+    weather = generate_weather(
+        SyntheticWeatherConfig(), start_day_of_year=150, n_days=2, rng=0
+    )
+    tag = next(_TAGS)
+    envs = [
+        HVACEnv(single_zone_building(), weather, tariff=_CountingTariff(tag=tag), rng=s)
+        for s in range(2)
+    ]
+    _PRICE_CALLS.clear()
+    for env in envs:
+        env.reset()
+    assert len(_PRICE_CALLS) == len(weather)
+    a, b = (env._tables.exo[0, :, 2] for env in envs)
+    np.testing.assert_array_equal(a, b)
+    clock = (weather.start_day_of_year, len(weather), weather.dt_seconds)
+    (row,) = observation._component_rows(envs[0].tariff, observation._TARIFF_METHODS, clock)
+    assert not row.flags.writeable
+    assert len(_PRICE_CALLS) == len(weather)
+
+
+def test_component_row_memo_stays_within_its_bound():
+    memo = observation._memo_sample
+    bound = observation.COMPONENT_ROW_MEMO_SIZE
+    assert memo.cache_info().maxsize == bound
+    for _ in range(bound + 3):
+        observation._component_rows(
+            _CountingTariff(tag=next(_TAGS)), observation._TARIFF_METHODS, (1, 4, 900.0)
+        )
+    assert memo.cache_info().currsize <= bound

@@ -1,9 +1,12 @@
 """Scalar-vs-vector parity and vector-env semantics.
 
-The load-bearing guarantee: a fleet of N identical configs under the
-same seeds reproduces N independent scalar envs' trajectories byte for
-byte — observations, rewards, dones, temperatures, and info diagnostics
-alike — because both step through the same control-step kernel.
+The load-bearing guarantee: a fleet of N configs under the same seeds
+reproduces N independent scalar envs' trajectories byte for byte —
+observations, rewards, dones, temperatures, and info diagnostics alike.
+A scalar env is a one-row fleet, so these parity tests check that a
+row's trajectory does not depend on its fleet-mates: not on their
+zone counts, forecast horizons or episode lengths, nor on the padding,
+masking and autoresets they cause.
 """
 
 import numpy as np

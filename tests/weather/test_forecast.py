@@ -2,7 +2,7 @@
 
 :class:`ForecastProvider` draws the noise; the forecast itself is
 :func:`repro.env.observation.forecast` over an env's time tables, the
-function both the scalar env and the fleet call.
+function every fleet — and so every scalar env, a one-row fleet — calls.
 """
 
 import numpy as np
@@ -12,9 +12,6 @@ from repro.building import single_zone_building
 from repro.env import HVACEnv, HVACEnvConfig
 from repro.env.observation import forecast
 from repro.weather import ForecastProvider, SyntheticWeatherConfig, generate_weather
-
-ROW = np.zeros(1, dtype=int)
-
 
 @pytest.fixture(scope="module")
 def weather():
@@ -32,7 +29,7 @@ def tables(weather):
 def one_forecast(tables, provider, index):
     """One row's forecast from ``index``, with a fresh draw."""
     temps, ghis = forecast(
-        tables, ROW, np.array([index]), provider.scales[None],
+        tables.exo[0], np.array([index]), tables.last, provider.scales[None],
         provider.draw_noise()[None],
     )
     return temps[0], ghis[0]

@@ -4,15 +4,47 @@ A stronger conventional baseline than the two-position thermostat: each
 zone runs an independent PID loop on the cooling error
 ``T_zone - setpoint`` and the continuous controller output is quantized
 to the nearest available airflow level.  Integral windup is clamped.
+
+As with the thermostat, one arithmetic serves two sizes:
+:func:`pid_step` runs over any ``(rows, zones)`` arrays.
+:class:`PIDController` calls it on one env's zone vector;
+:class:`FleetPID` calls it once on a whole fleet's sensed-temperature
+matrix, with per-row setpoints and gains and a per-row "first step"
+flag, so every row decides byte-identically to a scalar PID bound to
+that env.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.rule_based import PerRow, row_values
 from repro.core.agent import AgentBase
 from repro.env.core import Env
 from repro.utils.validation import check_positive
+
+
+def _check_gains(kp: float, ki: float, kd: float, integral_limit: float) -> None:
+    check_positive("kp", kp, strict=False)
+    check_positive("ki", ki, strict=False)
+    check_positive("kd", kd, strict=False)
+    check_positive("integral_limit", integral_limit)
+
+
+def pid_step(error, integral, last_error, initialized, kp, ki, kd, integral_limit, top):
+    """One PID step on ``error = T_zone - setpoint``; returns
+    ``(integral, levels)``.
+
+    ``error``, ``integral`` and ``last_error`` are ``(zones,)`` or
+    ``(rows, zones)`` arrays.  ``initialized`` (False: the derivative is
+    zero, as on an episode's first step), the gains, the windup limit
+    and the highest level ``top`` are scalars or columns that broadcast
+    against them.
+    """
+    integral = (integral + error).clip(-integral_limit, integral_limit)
+    derivative = np.where(initialized, error - last_error, 0.0)
+    output = kp * error + ki * integral + kd * derivative
+    return integral, np.rint(output).clip(0, top).astype(int)
 
 
 class PIDController(AgentBase):
@@ -33,10 +65,7 @@ class PIDController(AgentBase):
         kd: float = 2.0,
         integral_limit: float = 10.0,
     ) -> None:
-        check_positive("kp", kp, strict=False)
-        check_positive("ki", ki, strict=False)
-        check_positive("kd", kd, strict=False)
-        check_positive("integral_limit", integral_limit)
+        _check_gains(kp, ki, kd, integral_limit)
         inner = env.unwrapped()
         self.env = inner
         self.setpoint_c = float(setpoint_c)
@@ -55,12 +84,71 @@ class PIDController(AgentBase):
 
     def select_action(self, obs: np.ndarray, *, explore: bool = False) -> np.ndarray:
         error = self.env.zone_temps_c - self.setpoint_c  # positive = too warm
-        self._integral = np.clip(
-            self._integral + error, -self.integral_limit, self.integral_limit
+        self._integral, levels = pid_step(
+            error, self._integral, self._last_error, self._initialized,
+            self.kp, self.ki, self.kd, self.integral_limit, self.n_levels - 1,
         )
-        derivative = np.zeros_like(error) if not self._initialized else error - self._last_error
         self._last_error = error
         self._initialized = True
-        output = self.kp * error + self.ki * self._integral + self.kd * derivative
-        levels = np.clip(np.rint(output), 0, self.n_levels - 1)
-        return levels.astype(int)
+        return levels
+
+
+class FleetPID:
+    """One PID loop set per fleet row, decided in one array step.
+
+    Bound to a :class:`~repro.sim.VectorHVACEnv` or a
+    :class:`~repro.faults.FaultyVectorHVACEnv`, it senses the fleet's
+    ``sensed_zone_temps_c`` and keeps its integral and last error as
+    ``(n_envs, max_zones)`` matrices and its first-step flag per row.
+    The setpoint, gains and windup limit take one value for every row or
+    one per row, with the scalar controller's defaults and checks.
+
+    ``select_actions`` returns an int64 ``(n_envs, max_zones)`` level
+    matrix, padded zones at level 0.
+    """
+
+    def __init__(
+        self,
+        vec_env,
+        *,
+        setpoint_c: PerRow = 24.0,
+        kp: PerRow = 1.5,
+        ki: PerRow = 0.05,
+        kd: PerRow = 2.0,
+        integral_limit: PerRow = 10.0,
+    ) -> None:
+        n = vec_env.n_envs
+        columns = [
+            row_values(name, value, n)
+            for name, value in (
+                ("setpoint_c", setpoint_c), ("kp", kp), ("ki", ki), ("kd", kd),
+                ("integral_limit", integral_limit),
+            )
+        ]
+        for gains in zip(*columns[1:]):
+            _check_gains(*gains)
+        self.vec_env = vec_env
+        self.setpoint_c, self.kp, self.ki, self.kd, self.integral_limit = (
+            column[:, None] for column in columns
+        )
+        mask = vec_env.zone_mask
+        # Padded zones may only reach level 0.
+        self._top = np.where(mask, vec_env.n_levels[:, None] - 1, 0)
+        self._integral = np.zeros(mask.shape)
+        self._last_error = np.zeros(mask.shape)
+        self._initialized = np.zeros((n, 1), dtype=bool)
+
+    def begin_episode(self, obs_batch: np.ndarray) -> None:
+        self._integral[:] = 0.0
+        self._last_error[:] = 0.0
+        self._initialized[:] = False
+
+    def select_actions(self, obs_batch: np.ndarray, *, explore: bool = False) -> np.ndarray:
+        error = self.vec_env.sensed_zone_temps_c - self.setpoint_c
+        self._integral, levels = pid_step(
+            error, self._integral, self._last_error, self._initialized,
+            self.kp, self.ki, self.kd, self.integral_limit, self._top,
+        )
+        self._last_error = error
+        self._initialized[:] = True
+        return levels

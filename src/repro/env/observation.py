@@ -125,7 +125,12 @@ class ObsLayout:
 
     def sensed_temps_c(self, obs_row: np.ndarray) -> np.ndarray:
         """Zone temperatures as a sensor reads them from ``obs_row`` (°C)."""
-        return obs_row[self.temps] * TEMP_SCALE_C + TEMP_CENTER_C
+        return obs_to_temp_c(obs_row[self.temps])
+
+
+def obs_to_temp_c(obs: np.ndarray) -> np.ndarray:
+    """Zone-temperature channels of an observation, in °C."""
+    return obs * TEMP_SCALE_C + TEMP_CENTER_C
 
 
 def temp_to_obs(delta_c: np.ndarray | float) -> np.ndarray | float:

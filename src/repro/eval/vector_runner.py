@@ -2,8 +2,10 @@
 
 One policy decision and one environment step serve the whole fleet:
 batched policies (anything exposing ``select_actions``) get a single
-``(n_envs, obs_dim)`` forward pass per control step, while classical
-per-env controllers are adapted by :class:`PerEnvPolicy`.  Metrics are
+``(n_envs, obs_dim)`` forward pass per control step, and classical
+controllers are adapted by :class:`PerEnvPolicy` — the thermostat and
+PID in their fleet form (one array step for every env, as campaigns run
+them), any other controller as one object per env.  Metrics are
 accumulated as arrays and only materialize into per-env
 :class:`~repro.eval.metrics.EpisodeMetrics` at episode end, so the
 runner adds O(1) Python work per fleet step.
@@ -11,7 +13,7 @@ runner adds O(1) Python work per fleet step.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -25,12 +27,18 @@ from repro.utils.validation import check_positive
 
 
 class PerEnvPolicy:
-    """Adapts one classical controller per env to the batched protocol.
+    """Adapts classical controllers to the batched protocol.
 
-    Each agent sees its own env's (un-padded) observation row and returns
-    its own action vector; the vector env handles padding.  Use this for
-    thermostat/PID/random baselines — learned agents should implement
-    ``select_actions`` natively so inference batches in one forward pass.
+    Either one controller per env: each agent sees its own env's
+    (un-padded) observation row and returns its own action vector, and
+    :meth:`select_actions` returns their list (the vector env handles
+    padding).  Or, built with :meth:`of_fleet`, one fleet-form controller
+    (:class:`~repro.baselines.FleetThermostat`,
+    :class:`~repro.baselines.FleetPID`) that decides every env in one
+    array step: :meth:`select_actions` then returns its int64
+    ``(n_envs, max_zones)`` level matrix.  Learned agents should
+    implement ``select_actions`` natively so inference batches in one
+    forward pass.
     """
 
     def __init__(self, agents: Sequence[AgentBase], obs_dims: Sequence[int]) -> None:
@@ -41,16 +49,31 @@ class PerEnvPolicy:
             )
         self.agents = list(agents)
         self.obs_dims = [int(d) for d in obs_dims]
+        self.fleet = None
+
+    @classmethod
+    def of_fleet(cls, controller) -> "PerEnvPolicy":
+        """Adapt one fleet-form controller (``begin_episode(obs_batch)``,
+        ``select_actions(obs_batch, *, explore=False)``)."""
+        policy = cls([], [])
+        policy.fleet = controller
+        return policy
 
     def begin_episode(self, obs_batch: np.ndarray) -> None:
-        """Forward the per-env first observation to each agent."""
+        """Forward the first observations to the fleet-form controller, or
+        each env's row to its agent."""
+        if self.fleet is not None:
+            self.fleet.begin_episode(obs_batch)
         for k, agent in enumerate(self.agents):
             agent.begin_episode(obs_batch[k, : self.obs_dims[k]])
 
     def select_actions(
         self, obs_batch: np.ndarray, *, explore: bool = False
-    ) -> List[np.ndarray]:
-        """One action vector per env (a list, so widths may differ)."""
+    ) -> Union[np.ndarray, List[np.ndarray]]:
+        """The fleet-form controller's level matrix, or one action vector
+        per env (a list, so widths may differ)."""
+        if self.fleet is not None:
+            return self.fleet.select_actions(obs_batch, explore=explore)
         return [
             np.atleast_1d(
                 agent.select_action(obs_batch[k, : self.obs_dims[k]], explore=explore)

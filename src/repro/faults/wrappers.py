@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.env.core import StepResult
 from repro.env.hvac_env import HVACEnv
-from repro.env.observation import ObsLayout
+from repro.env.observation import ObsLayout, obs_to_temp_c
 from repro.faults.base import FaultInjector
 from repro.faults.profiles import FaultProfile, get_fault_profile
 
@@ -185,6 +185,13 @@ class FaultyVectorHVACEnv:
             self.layouts, [int(s) for s in seeds]
         )
         self._last_obs: Optional[np.ndarray] = None
+        # Where each row's zone temperatures sit in the flattened
+        # observation batch (padded zones point at the row's first entry).
+        temps_at = np.array([lay.temps.start for lay in self.layouts])
+        row_at = np.arange(vec_env.n_envs) * vec_env.max_obs_dim
+        self._sensed_at = row_at[:, None] + np.where(
+            vec_env.zone_mask, temps_at[:, None] + np.arange(vec_env.max_zones), 0
+        )
 
     # ----------------------------------------------------------- delegation
     def __getattr__(self, name: str):
@@ -263,16 +270,14 @@ class FaultyVectorHVACEnv:
     # ------------------------------------------------------------- sensing
     @property
     def sensed_zone_temps_c(self) -> np.ndarray:
-        """Per-env sensed temperatures, ``(n_envs, max_zones)`` padded
-        with the physical values where no observation exists yet."""
+        """Per-env sensed temperatures, ``(n_envs, max_zones)``: one gather
+        from the last faulted observation, with the physical values in
+        padded zones and where no observation exists yet."""
         temps = self.vec_env.zone_temps_c
         if self.injector is None or self._last_obs is None:
             return temps
-        for k, lay in enumerate(self.layouts):
-            temps[k, : lay.n_zones] = lay.sensed_temps_c(
-                self._last_obs[k, : lay.obs_dim]
-            )
-        return temps
+        sensed = obs_to_temp_c(self._last_obs.take(self._sensed_at))
+        return np.where(self.vec_env.zone_mask, sensed, temps)
 
     def env_view(self, index: int) -> "_FaultedEnvView":
         """Scalar-shaped live view whose ``zone_temps_c`` is the faulted

@@ -26,9 +26,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.baselines.pid import PIDController
+from repro.baselines.pid import FleetPID
 from repro.baselines.random_policy import RandomController
-from repro.baselines.rule_based import ThermostatController
+from repro.baselines.rule_based import FleetThermostat
 from repro.eval.metrics import EvaluationSummary, robustness_deltas
 from repro.eval.reporting import format_table
 from repro.eval.vector_runner import PerEnvPolicy, VectorRunner
@@ -149,17 +149,16 @@ def expand_campaign(spec: CampaignSpec) -> List[CampaignJob]:
 
 def _make_policy(name: str, vec_env: VectorHVACEnv, seeds: Sequence[int]) -> PerEnvPolicy:
     if name == "thermostat":
-        agents = [ThermostatController(vec_env.env_view(k)) for k in range(vec_env.n_envs)]
-    elif name == "pid":
-        agents = [PIDController(vec_env.env_view(k)) for k in range(vec_env.n_envs)]
-    elif name == "random":
+        return PerEnvPolicy.of_fleet(FleetThermostat(vec_env))
+    if name == "pid":
+        return PerEnvPolicy.of_fleet(FleetPID(vec_env))
+    if name == "random":
         agents = [
             RandomController(env.action_space, rng=int(seed))
             for env, seed in zip(vec_env.envs, seeds)
         ]
-    else:
-        raise ValueError(f"unknown controller {name!r}; choose from {CONTROLLERS}")
-    return PerEnvPolicy(agents, vec_env.obs_dims)
+        return PerEnvPolicy(agents, vec_env.obs_dims)
+    raise ValueError(f"unknown controller {name!r}; choose from {CONTROLLERS}")
 
 
 def run_campaign_job(job: CampaignJob) -> CampaignRow:

@@ -94,13 +94,29 @@ class BatchStepInfo:
         }
 
 
+#: What an env view refuses, and the fleet call to make instead: on the
+#: member env these act on its own one-row fleet, not on its fleet row.
+_FLEET_ONLY = {
+    "reset": "fleet.reset()",
+    "step": "fleet.step()",
+    "state_dict": "fleet.state_dict()",
+    "load_state_dict": "fleet.load_state_dict()",
+    "_fleet": "fleet",
+    "_tables": "fleet._tables",
+    "_cols": "fleet._cols",
+    "_step_rows": "fleet._step_rows()",
+}
+
+
 class _EnvView:
     """A live single-env window into the fleet.
 
     Presents the scalar-env surface that state-reading controllers
     (thermostat, PID) need — ``zone_temps_c`` and ``time_index`` track the
     **batch** state, everything else delegates to the underlying scalar
-    env's static attributes.
+    env's static attributes.  The stateful surface (``reset``, ``step``,
+    checkpoints, the member's own one-row fleet and its tables) raises
+    :class:`AttributeError` naming the fleet call to use instead.
     """
 
     def __init__(self, vec_env: "VectorHVACEnv", index: int) -> None:
@@ -121,6 +137,12 @@ class _EnvView:
         return int(self._vec._idx[self._k])
 
     def __getattr__(self, name: str):
+        if name in _FLEET_ONLY:
+            raise AttributeError(
+                f"an env view has no {name!r}: on the member env it would act "
+                f"on that env's own one-row fleet, not on fleet row {self._k}; "
+                f"use the fleet that made the view ({_FLEET_ONLY[name]})"
+            )
         return getattr(self._env, name)
 
 
@@ -171,8 +193,8 @@ class VectorHVACEnv:
         self.n_zones = self._cols.n_zones
         self.zone_mask = self._cols.zone_mask
         self._episode_steps = np.array([env.episode_steps for env in self.envs])
-        self._n_levels = np.array([env.vav.n_levels for env in self.envs])
-        self._level_limit = self._n_levels[:, None].astype(np.uint64)
+        self.n_levels = np.array([env.vav.n_levels for env in self.envs])
+        self._level_limit = self.n_levels[:, None].astype(np.uint64)
         self._padded = not self.zone_mask.all()
         self._rows = np.arange(n)
         # What each reset draws from: the env's generator, the last start
@@ -233,7 +255,7 @@ class VectorHVACEnv:
         layouts = [env.layout for env in self.envs]
         n = self.n_envs
         h_max = max(lay.horizon for lay in layouts)
-        wide = self._wide = ObsLayout(self.max_zones, h_max, int(self._n_levels.max()))
+        wide = self._wide = ObsLayout(self.max_zones, h_max, int(self.n_levels.max()))
         self.obs_dims = np.array([lay.obs_dim for lay in layouts], dtype=int)
         self.max_obs_dim = int(self.obs_dims.max())
         self._obs_columns = np.full((n, self.max_obs_dim), wide.obs_dim)
@@ -270,6 +292,10 @@ class VectorHVACEnv:
     def zone_temps_c(self) -> np.ndarray:
         """Current zone temperatures, ``(n_envs, max_zones)`` (copy)."""
         return self._temps.copy()
+
+    #: Zone temperatures as the buildings' own sensors read them: the
+    #: physical ones here (a faulted fleet reads its faulted sensors).
+    sensed_zone_temps_c = zone_temps_c
 
     @property
     def time_indices(self) -> np.ndarray:

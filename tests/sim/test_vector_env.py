@@ -9,6 +9,8 @@ zone counts, forecast horizons or episode lengths, nor on the padding,
 masking and autoresets they cause.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -319,3 +321,27 @@ class TestVectorEnvSemantics:
         assert action.shape == (1,)
         vec.step(np.stack([action, action]))
         assert view.time_index == 1
+
+    def test_env_view_refuses_the_stateful_surface(self):
+        """A view reads its fleet row; what would act on the member env's
+        own one-row fleet instead raises, naming the fleet call."""
+        vec = VectorHVACEnv(build_fleet("baseline-tou", [0, 1]))
+        vec.reset()
+        for _ in range(5):
+            vec.step(np.zeros((2, 1), dtype=int))
+        view = vec.env_view(0)
+        assert view.time_index == 5
+        _same(view.zone_temps_c, vec.zone_temps_c[0], "view temps")
+        for name, fleet_call in [
+            ("reset", "fleet.reset()"), ("step", "fleet.step()"),
+            ("state_dict", "fleet.state_dict()"),
+            ("load_state_dict", "fleet.load_state_dict()"), ("_fleet", "fleet"),
+            ("_tables", "fleet._tables"), ("_cols", "fleet._cols"),
+            ("_step_rows", "fleet._step_rows()"),
+        ]:
+            with pytest.raises(AttributeError, match=re.escape(f"({fleet_call})")):
+                getattr(view, name)
+        # Static attributes still come from the member env.
+        assert view.action_space is vec.envs[0].action_space
+        assert view.building is vec.envs[0].building
+        assert "_fleet" not in vec.envs[0].__dict__  # never built by the view

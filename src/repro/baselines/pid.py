@@ -9,26 +9,26 @@ As with the thermostat, one arithmetic serves two sizes:
 :func:`pid_step` runs over any ``(rows, zones)`` arrays.
 :class:`PIDController` calls it on one env's zone vector;
 :class:`FleetPID` calls it once on a whole fleet's sensed-temperature
-matrix, with per-row setpoints and gains and a per-row "first step"
-flag, so every row decides byte-identically to a scalar PID bound to
-that env.
+matrix with the default setpoint and gains, each row's own top level
+and a per-row "first step" flag, so every row decides byte-identically
+to a default scalar PID bound to that env.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.rule_based import PerRow, row_values
 from repro.core.agent import AgentBase
 from repro.env.core import Env
 from repro.utils.validation import check_positive
 
 
-def _check_gains(kp: float, ki: float, kd: float, integral_limit: float) -> None:
-    check_positive("kp", kp, strict=False)
-    check_positive("ki", ki, strict=False)
-    check_positive("kd", kd, strict=False)
-    check_positive("integral_limit", integral_limit)
+#: Default settings, shared by :class:`PIDController` and :class:`FleetPID`.
+DEFAULT_SETPOINT_C = 24.0
+DEFAULT_KP = 1.5
+DEFAULT_KI = 0.05
+DEFAULT_KD = 2.0
+DEFAULT_INTEGRAL_LIMIT = 10.0
 
 
 def pid_step(error, integral, last_error, initialized, kp, ki, kd, integral_limit, top):
@@ -59,13 +59,16 @@ class PIDController(AgentBase):
         self,
         env: Env,
         *,
-        setpoint_c: float = 24.0,
-        kp: float = 1.5,
-        ki: float = 0.05,
-        kd: float = 2.0,
-        integral_limit: float = 10.0,
+        setpoint_c: float = DEFAULT_SETPOINT_C,
+        kp: float = DEFAULT_KP,
+        ki: float = DEFAULT_KI,
+        kd: float = DEFAULT_KD,
+        integral_limit: float = DEFAULT_INTEGRAL_LIMIT,
     ) -> None:
-        _check_gains(kp, ki, kd, integral_limit)
+        check_positive("kp", kp, strict=False)
+        check_positive("ki", ki, strict=False)
+        check_positive("kd", kd, strict=False)
+        check_positive("integral_limit", integral_limit)
         inner = env.unwrapped()
         self.env = inner
         self.setpoint_c = float(setpoint_c)
@@ -94,49 +97,27 @@ class PIDController(AgentBase):
 
 
 class FleetPID:
-    """One PID loop set per fleet row, decided in one array step.
+    """One default PID loop set per fleet row, decided in one array step.
 
     Bound to a :class:`~repro.sim.VectorHVACEnv` or a
     :class:`~repro.faults.FaultyVectorHVACEnv`, it senses the fleet's
     ``sensed_zone_temps_c`` and keeps its integral and last error as
     ``(n_envs, max_zones)`` matrices and its first-step flag per row.
-    The setpoint, gains and windup limit take one value for every row or
-    one per row, with the scalar controller's defaults and checks.
+    Every row uses the scalar controller's default setpoint, gains and
+    windup limit, and is capped at that row's highest airflow level.
 
     ``select_actions`` returns an int64 ``(n_envs, max_zones)`` level
     matrix, padded zones at level 0.
     """
 
-    def __init__(
-        self,
-        vec_env,
-        *,
-        setpoint_c: PerRow = 24.0,
-        kp: PerRow = 1.5,
-        ki: PerRow = 0.05,
-        kd: PerRow = 2.0,
-        integral_limit: PerRow = 10.0,
-    ) -> None:
-        n = vec_env.n_envs
-        columns = [
-            row_values(name, value, n)
-            for name, value in (
-                ("setpoint_c", setpoint_c), ("kp", kp), ("ki", ki), ("kd", kd),
-                ("integral_limit", integral_limit),
-            )
-        ]
-        for gains in zip(*columns[1:]):
-            _check_gains(*gains)
+    def __init__(self, vec_env) -> None:
         self.vec_env = vec_env
-        self.setpoint_c, self.kp, self.ki, self.kd, self.integral_limit = (
-            column[:, None] for column in columns
-        )
         mask = vec_env.zone_mask
         # Padded zones may only reach level 0.
         self._top = np.where(mask, vec_env.n_levels[:, None] - 1, 0)
         self._integral = np.zeros(mask.shape)
         self._last_error = np.zeros(mask.shape)
-        self._initialized = np.zeros((n, 1), dtype=bool)
+        self._initialized = np.zeros((vec_env.n_envs, 1), dtype=bool)
 
     def begin_episode(self, obs_batch: np.ndarray) -> None:
         self._integral[:] = 0.0
@@ -144,10 +125,10 @@ class FleetPID:
         self._initialized[:] = False
 
     def select_actions(self, obs_batch: np.ndarray, *, explore: bool = False) -> np.ndarray:
-        error = self.vec_env.sensed_zone_temps_c - self.setpoint_c
+        error = self.vec_env.sensed_zone_temps_c - DEFAULT_SETPOINT_C
         self._integral, levels = pid_step(
             error, self._integral, self._last_error, self._initialized,
-            self.kp, self.ki, self.kd, self.integral_limit, self._top,
+            DEFAULT_KP, DEFAULT_KI, DEFAULT_KD, DEFAULT_INTEGRAL_LIMIT, self._top,
         )
         self._last_error = error
         self._initialized[:] = True

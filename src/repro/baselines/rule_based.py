@@ -15,13 +15,14 @@ One arithmetic serves two sizes: :func:`thermostat_step` runs the
 hysteresis over any ``(rows, zones)`` arrays.  :class:`ThermostatController`
 calls it on one env's zone vector; :class:`FleetThermostat` calls it
 once on a whole fleet's ``(n_envs, max_zones)`` sensed-temperature
-matrix, with per-row setpoints, deadbands and levels, so every row
-decides byte-identically to a scalar thermostat bound to that env.
+matrix with the default settings and each row's own ON level, so every
+row decides byte-identically to a default scalar thermostat bound to
+that env.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional
 
 import numpy as np
 
@@ -29,37 +30,11 @@ from repro.core.agent import AgentBase
 from repro.env.core import Env
 from repro.utils.validation import check_in_range, check_positive
 
-#: A fleet-form parameter: one value for every row, or one per row.
-PerRow = Union[float, Sequence[float]]
-
-
-def row_values(name: str, value: PerRow, n: int) -> np.ndarray:
-    """``value`` as ``n`` per-row floats (a scalar repeats)."""
-    try:
-        return np.broadcast_to(np.asarray(value, dtype=float), (n,))
-    except ValueError:
-        raise ValueError(
-            f"{name} needs one value or one per row ({n}), got shape {np.shape(value)}"
-        ) from None
-
-
-def _check_thermostat(
-    setpoint_c: float,
-    deadband_c: float,
-    on_level: Optional[int],
-    off_level: int,
-    n_levels: int,
-) -> Tuple[int, int]:
-    """Validate one thermostat's settings; returns ``(on, off)`` levels."""
-    check_in_range("setpoint_c", setpoint_c, 0.0, 40.0)
-    check_positive("deadband_c", deadband_c)
-    on = int(on_level) if on_level is not None else n_levels - 1
-    off = int(off_level)
-    if not 0 <= off < on < n_levels:
-        raise ValueError(
-            f"need 0 <= off_level < on_level < {n_levels}, got off={off} on={on}"
-        )
-    return on, off
+#: Default settings, shared by :class:`ThermostatController` and
+#: :class:`FleetThermostat`.
+DEFAULT_SETPOINT_C = 24.5
+DEFAULT_DEADBAND_C = 1.0
+DEFAULT_OFF_LEVEL = 0
 
 
 def thermostat_step(temps, state, setpoint_c, deadband_c, on_level, off_level):
@@ -97,18 +72,25 @@ class ThermostatController(AgentBase):
         self,
         env: Env,
         *,
-        setpoint_c: float = 24.5,
-        deadband_c: float = 1.0,
+        setpoint_c: float = DEFAULT_SETPOINT_C,
+        deadband_c: float = DEFAULT_DEADBAND_C,
         on_level: Optional[int] = None,
-        off_level: int = 0,
+        off_level: int = DEFAULT_OFF_LEVEL,
     ) -> None:
+        check_in_range("setpoint_c", setpoint_c, 0.0, 40.0)
+        check_positive("deadband_c", deadband_c)
         inner = env.unwrapped()
-        self.on_level, self.off_level = _check_thermostat(
-            setpoint_c, deadband_c, on_level, off_level, int(inner.action_space.nvec[0])
-        )
+        n_levels = int(inner.action_space.nvec[0])
         self.env = inner
         self.setpoint_c = float(setpoint_c)
         self.deadband_c = float(deadband_c)
+        self.on_level = int(on_level) if on_level is not None else n_levels - 1
+        self.off_level = int(off_level)
+        if not 0 <= self.off_level < self.on_level < n_levels:
+            raise ValueError(
+                f"need 0 <= off_level < on_level < {n_levels}, "
+                f"got off={self.off_level} on={self.on_level}"
+            )
         self.n_zones = len(inner.action_space.nvec)
         self._state = np.zeros(self.n_zones, dtype=bool)  # True = cooling ON
 
@@ -124,44 +106,31 @@ class ThermostatController(AgentBase):
 
 
 class FleetThermostat:
-    """One thermostat per fleet row, decided in one array step.
+    """One default thermostat per fleet row, decided in one array step.
 
     Bound to a :class:`~repro.sim.VectorHVACEnv` or a
     :class:`~repro.faults.FaultyVectorHVACEnv`, it senses the fleet's
     ``sensed_zone_temps_c`` — the faulted reading in a faulted fleet —
     and keeps its ON/OFF state as an ``(n_envs, max_zones)`` matrix.
-    Each setting takes one value for every row or one per row, with the
-    scalar controller's defaults and checks.
+    Every row uses the scalar controller's default setpoint, deadband
+    and OFF level; its ON level is that row's highest airflow level.
 
     ``select_actions`` returns an int64 ``(n_envs, max_zones)`` level
     matrix, padded zones at level 0; frozen rows keep deciding, exactly
     as a scalar thermostat asked each step would.
     """
 
-    def __init__(
-        self,
-        vec_env,
-        *,
-        setpoint_c: PerRow = 24.5,
-        deadband_c: PerRow = 1.0,
-        on_level: Optional[Union[int, Sequence[int]]] = None,
-        off_level: Union[int, Sequence[int]] = 0,
-    ) -> None:
-        n = vec_env.n_envs
-        setpoints = row_values("setpoint_c", setpoint_c, n)
-        deadbands = row_values("deadband_c", deadband_c, n)
-        ons = [None] * n if on_level is None else row_values("on_level", on_level, n)
-        offs = row_values("off_level", off_level, n)
-        on, off = np.array([
-            _check_thermostat(*settings)
-            for settings in zip(setpoints, deadbands, ons, offs, vec_env.n_levels)
-        ]).T
+    def __init__(self, vec_env) -> None:
+        on = vec_env.n_levels - 1
+        if not (DEFAULT_OFF_LEVEL < on).all():
+            raise ValueError(
+                f"need off_level {DEFAULT_OFF_LEVEL} < on_level on every row, "
+                f"got levels per row {vec_env.n_levels.tolist()}"
+            )
         self.vec_env = vec_env
-        self.setpoint_c = setpoints[:, None]
-        self.deadband_c = deadbands[:, None]
         mask = vec_env.zone_mask
+        # Padded zones are at level 0 in either state (the OFF level is 0).
         self.on_level = np.where(mask, on[:, None], 0)
-        self.off_level = np.where(mask, off[:, None], 0)
         self._state = np.zeros(mask.shape, dtype=bool)
 
     def begin_episode(self, obs_batch: np.ndarray) -> None:
@@ -169,7 +138,7 @@ class FleetThermostat:
 
     def select_actions(self, obs_batch: np.ndarray, *, explore: bool = False) -> np.ndarray:
         self._state, levels = thermostat_step(
-            self.vec_env.sensed_zone_temps_c, self._state, self.setpoint_c,
-            self.deadband_c, self.on_level, self.off_level,
+            self.vec_env.sensed_zone_temps_c, self._state, DEFAULT_SETPOINT_C,
+            DEFAULT_DEADBAND_C, self.on_level, DEFAULT_OFF_LEVEL,
         )
         return levels

@@ -2,9 +2,10 @@
 
 Each fleet row must decide byte-identically to a scalar controller bound
 to ``env_view(k)`` — clean and faulted fleets, single-zone and padded
-mixed fleets, frozen rows after uneven episode ends, two episodes, and
-non-default per-row settings.
+mixed fleets, frozen rows after uneven episode ends, and two episodes.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,32 +45,9 @@ def _fleet(kind, profile):
     return FaultyVectorHVACEnv(vec, profile, seeds=[seed for _, seed in members])
 
 
-def _row_settings(settings, k):
-    return {
-        name: value[k] if isinstance(value, list) else value
-        for name, value in settings.items()
-    }
-
-
 CONTROLLERS = {
     "thermostat": (FleetThermostat, ThermostatController),
     "pid": (FleetPID, PIDController),
-}
-# Per-row settings of the four-row mixed fleet, none of them the default.
-CUSTOM = {
-    "thermostat": {
-        "setpoint_c": [23.0, 24.5, 25.5, 22.5],
-        "deadband_c": [0.5, 1.0, 2.0, 1.5],
-        "on_level": [2, 3, 1, 3],
-        "off_level": [1, 1, 0, 2],
-    },
-    "pid": {
-        "setpoint_c": [23.5, 24.0, 25.0, 22.0],
-        "kp": [1.0, 1.5, 3.0, 0.5],
-        "ki": [0.0, 0.05, 0.2, 0.1],
-        "kd": [2.0, 0.0, 1.0, 4.0],
-        "integral_limit": [10.0, 1.0, 5.0, 2.5],
-    },
 }
 
 
@@ -111,19 +89,6 @@ def test_fleet_rows_match_scalar_controllers(name, kind, profile):
 
 @pytest.mark.parametrize("profile", ["none", "noisy-sensors"])
 @pytest.mark.parametrize("name", sorted(CONTROLLERS))
-def test_per_row_settings_match_scalar_controllers(name, profile):
-    fleet_cls, scalar_cls = CONTROLLERS[name]
-    vec = _fleet("mixed", profile)
-    settings = CUSTOM[name]
-    scalars = [
-        scalar_cls(vec.env_view(k), **_row_settings(settings, k))
-        for k in range(vec.n_envs)
-    ]
-    _assert_decisions_match(vec, fleet_cls(vec, **settings), scalars)
-
-
-@pytest.mark.parametrize("profile", ["none", "noisy-sensors"])
-@pytest.mark.parametrize("name", sorted(CONTROLLERS))
 def test_runner_metrics_match_per_env_policy(name, profile):
     fleet_cls, scalar_cls = CONTROLLERS[name]
     fleet_vec = _fleet("mixed", profile)
@@ -152,12 +117,12 @@ class TestPerEnvPolicyOfFleet:
     def test_begin_episode_resets_every_row(self):
         vec = _fleet("mixed", "none")
         pid = FleetPID(vec)
-        thermostat = FleetThermostat(vec, setpoint_c=18.0)
+        thermostat = FleetThermostat(vec)
         obs = vec.reset()
         policy_pid = PerEnvPolicy.of_fleet(pid)
-        PerEnvPolicy.of_fleet(thermostat).select_actions(obs)
         policy_pid.select_actions(obs)
-        assert thermostat._state.any() and pid._initialized.all()
+        thermostat._state[:] = True
+        assert pid._initialized.all()
         PerEnvPolicy.of_fleet(thermostat).begin_episode(obs)
         policy_pid.begin_episode(obs)
         assert not thermostat._state.any()
@@ -165,23 +130,9 @@ class TestPerEnvPolicyOfFleet:
         assert not pid._integral.any() and not pid._last_error.any()
 
 
-class TestFleetSettingsValidation:
-    def test_one_bad_row_setpoint_raises(self):
-        vec = _fleet("single-zone", "none")
-        with pytest.raises(ValueError, match="setpoint_c"):
-            FleetThermostat(vec, setpoint_c=[24.0, 45.0, 24.0])
-
-    def test_row_levels_are_checked_against_that_row(self):
-        vec = _fleet("single-zone", "none")
-        with pytest.raises(ValueError, match="off_level"):
-            FleetThermostat(vec, on_level=[3, 3, 0])
-
-    def test_negative_row_gain_raises(self):
-        vec = _fleet("single-zone", "none")
-        with pytest.raises(ValueError, match="kd"):
-            FleetPID(vec, kd=[1.0, -1.0, 1.0])
-
-    def test_wrong_number_of_rows_raises(self):
-        vec = _fleet("single-zone", "none")
-        with pytest.raises(ValueError, match="one per row"):
-            FleetPID(vec, kp=[1.0, 2.0])
+def test_fleet_thermostat_needs_an_on_level_above_off_on_every_row():
+    one_level_row = SimpleNamespace(
+        n_envs=2, n_levels=np.array([4, 1]), zone_mask=np.ones((2, 1), dtype=bool)
+    )
+    with pytest.raises(ValueError, match="on_level"):
+        FleetThermostat(one_level_row)

@@ -8,6 +8,12 @@ env, a mixed-layout fleet and a faulted fleet, each 60 steps into
 ``run(…, 1)`` — with SHA-256 digests of what each produced over its
 next 50 steps (``run(…, 2)``, crossing an episode boundary).  Loaded
 into freshly built twins, they must resume byte-exactly.
+
+``faulty_scalar`` is a scalar ``FaultyHVACEnv`` snapshot (its own
+``env``/``faults``/``last_obs`` keys), written before the scalar faulted
+env became a one-row faulted fleet: a ``stuck-thermistor`` env 60 steps
+into ``run(…, 1)``, past the step-16 latch onset, so the held reading is
+part of the state.
 """
 
 import hashlib
@@ -18,7 +24,7 @@ import pytest
 
 from repro.building import four_zone_office, single_zone_building
 from repro.env import HVACEnv, HVACEnvConfig
-from repro.faults import FaultyVectorHVACEnv
+from repro.faults import FaultyHVACEnv, FaultyVectorHVACEnv
 from repro.sim import VectorHVACEnv
 from repro.weather import SyntheticWeatherConfig, generate_weather
 
@@ -53,6 +59,12 @@ def make_fleet():
 
 def make_faulty():
     return FaultyVectorHVACEnv(make_fleet(), "noisy-sensors", seeds=[8, 9])
+
+
+def make_faulty_scalar():
+    return FaultyHVACEnv(
+        make_env(four_zone_office, 7, 3, 1.0), "stuck-thermistor", seed=7
+    )
 
 
 def run_scalar(env, n, seed):
@@ -91,6 +103,7 @@ CASES = {
     "scalar": (make_scalar, run_scalar),
     "fleet": (make_fleet, run_fleet),
     "faulty": (make_faulty, run_fleet),
+    "faulty_scalar": (make_faulty_scalar, run_scalar),
 }
 
 
@@ -104,10 +117,12 @@ def test_parent_checkpoint_resumes_byte_exactly(name):
     assert digest(rewards) == PARENT[name]["rewards"]
 
 
-def test_scalar_checkpoint_layout_unchanged():
-    env = make_scalar()
-    env.load_state_dict(PARENT["scalar"]["state"])
-    assert json.loads(json.dumps(env.state_dict())) == PARENT["scalar"]["state"]
+@pytest.mark.parametrize("name", ["scalar", "faulty_scalar"])
+def test_scalar_checkpoint_layout_unchanged(name):
+    make, _ = CASES[name]
+    env = make()
+    env.load_state_dict(PARENT[name]["state"])
+    assert json.loads(json.dumps(env.state_dict())) == PARENT[name]["state"]
 
 
 @pytest.mark.parametrize("name", ["fleet", "faulty"])
@@ -231,6 +246,55 @@ PARENT = (
                                                      22.808657140611498],
                                             'dtype': 'float64',
                                             'shape': [2, 4]}}}},
+ 'faulty_scalar': {'obs': '539bf63bc6f61715d590b51a91f345003f4c766fe7dd5e1b257fb1e4abb2da0f',
+                   'rewards': '8d9208a3d1dd0c0e7262535c5c1780c9df1b6db5340079f4f19cff82127a1b80',
+                   'state': {'env': {'forecast_rng': {'bit_generator': 'PCG64',
+                                                      'has_uint32': 0,
+                                                      'state': {'inc': 120724756454006885865332947976669849395,
+                                                                'state': 299008396498310278442967006041393807512},
+                                                      'uinteger': 0},
+                                     'index': 252,
+                                     'needs_reset': False,
+                                     'rng': {'bit_generator': 'PCG64',
+                                             'has_uint32': 1,
+                                             'state': {'inc': 261136684632268670825940853076396136793,
+                                                       'state': 57900626327182248810360271475404325290},
+                                             'uinteger': 3853503932},
+                                     'start_index': 192,
+                                     'steps_taken': 60,
+                                     'temps': [21.47054791418213,
+                                               22.127833412879394,
+                                               24.385015281096077,
+                                               24.505960641541325]},
+                             'faults': {'models': [{'kind': 'stuck_sensor',
+                                                    'state': {'held': [-0.5234559755109398],
+                                                              'held_set': [True]}}],
+                                        'rngs': [{'bit_generator': 'PCG64',
+                                                  'has_uint32': 0,
+                                                  'state': {'inc': 210062692495883996467189115823727530847,
+                                                            'state': 289114525777058456170186582025923469396},
+                                                  'uinteger': 0}],
+                                        'steps': [60]},
+                             'last_obs': [-0.7071067811865471,
+                                          -0.7071067811865479,
+                                          0.0,
+                                          0.0,
+                                          0.0,
+                                          0.0,
+                                          0.0,
+                                          -0.5234559755109398,
+                                          -0.08721665871206064,
+                                          0.13850152810960772,
+                                          0.1505960641541325,
+                                          0.7862673890368863,
+                                          0.4599517993971971,
+                                          0.26666666666666666,
+                                          0.8235094638658277,
+                                          0.8321237662518683,
+                                          0.81447986433817,
+                                          0.4362387673569263,
+                                          0.48272620090149476,
+                                          0.5425133131243696]}},
  'fleet': {'obs': 'd6b35ee2db68fb8fc6d23d675d169296cbc9aef57593ae9fc37a05ee27b8f644',
            'rewards': '420aff497cedfb64640dfe6e700da11f71f14c01e7280eff39560eea1c69cfd7',
            'state': {'done': {'data': [False, False], 'dtype': 'bool', 'shape': [2]},

@@ -187,8 +187,9 @@ class HVACEnv(Env):
         current state (the lookahead oracle's scores); nothing moves."""
         return self._fleet._step_rows(levels)
 
-    def step(self, action) -> StepResult:
-        """Apply per-zone airflow levels for one control step."""
+    def _fleet_levels(self, action) -> np.ndarray:
+        """``action`` as the one-row fleet's ``(1, n_zones)`` levels; raises
+        when no episode is running (a frozen fleet row would not)."""
         fleet = self._fleet
         if fleet._needs_reset or fleet._done[0]:
             raise RuntimeError("call reset() before step()")
@@ -197,7 +198,12 @@ class HVACEnv(Env):
         # A single-zone env also takes its one level as a scalar.
         if levels.shape != (m,) and (m > 1 or levels.ndim):
             raise ValueError(f"action {action!r} not in {self.action_space}")
-        obs, reward, done, info = fleet.step(levels.reshape(1, m))
+        return levels.reshape(1, m)
+
+    def step(self, action) -> StepResult:
+        """Apply per-zone airflow levels for one control step."""
+        obs, reward, done, info = self._fleet.step(self._fleet_levels(action))
+        m = self.building.n_zones
         return obs[0], float(reward[0]), bool(done[0]), info.per_env(0, m)
 
     # -------------------------------------------------------- checkpointing

@@ -2,10 +2,13 @@
 
 Every model perturbs the sensing/actuation boundary only (see
 :mod:`repro.faults.base`); parameters are in physical units (°C,
-fractions) and converted to observation scaling internally.  Stochastic
-models draw from env ``k``'s dedicated fault stream exactly once per
-hook invocation pattern, so scalar and vector execution consume
-identical randomness.
+fractions) and converted to observation scaling internally.  Each hook
+acts on a block of rows that share one observation layout (see
+:class:`~repro.faults.base.FaultModel`): window checks are step-array
+masks, latches and stuck or capped levels are masked assignments, and
+stochastic models draw through :meth:`~repro.faults.base.FaultModel._draw`,
+so every row consumes its own fault stream exactly as a scalar faulted
+env would.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.env.observation import out_temp_to_obs, temp_to_obs
+from repro.env.observation import ObsLayout, out_temp_to_obs, temp_to_obs
 from repro.faults.base import FaultModel
 from repro.utils.validation import check_in_range, check_positive
 
@@ -30,7 +33,9 @@ class SensorNoise(FaultModel):
     ``temp_std_c``/``temp_bias_c`` act per zone-temperature channel,
     ``out_std_c``/``out_bias_c`` on the outdoor temperature, and
     ``ghi_rel_std`` multiplies irradiance by ``1 + N(0, σ)`` (clipped at
-    zero).  Stateless: the noise never sticks.
+    zero).  Stateless: the noise never sticks.  Each row draws one
+    standard-normal vector per observation: its zone temperatures, then
+    the outdoor temperature, then irradiance (the noisy channels only).
     """
 
     kind = "sensor_noise"
@@ -54,23 +59,25 @@ class SensorNoise(FaultModel):
         self.out_bias_c = float(out_bias_c)
         self.ghi_rel_std = float(ghi_rel_std)
 
-    def apply_obs(self, k: int, obs_row: np.ndarray, step: int) -> None:
-        lay = self.layouts[k]
+    def apply_obs(self, lay, rows, steps, obs) -> None:
+        m = lay.n_zones
+        n_temp = m if self.temp_std_c > 0.0 else 0
+        n_out = int(self.out_std_c > 0.0)
+        width = n_temp + n_out + int(self.ghi_rel_std > 0.0)
+        z = self._draw(rows, lambda rng: rng.standard_normal(width)) if width else None
         if self.temp_std_c > 0.0 or self.temp_bias_c != 0.0:
-            delta = np.full(lay.n_zones, self.temp_bias_c)
-            if self.temp_std_c > 0.0:
-                delta = delta + self.rngs[k].normal(
-                    0.0, self.temp_std_c, size=lay.n_zones
-                )
-            obs_row[lay.temps] += temp_to_obs(delta)
+            delta = self.temp_bias_c
+            if n_temp:
+                delta = delta + self.temp_std_c * z[:, :m]
+            obs[:, lay.temps] += temp_to_obs(delta)
         if self.out_std_c > 0.0 or self.out_bias_c != 0.0:
             delta = self.out_bias_c
-            if self.out_std_c > 0.0:
-                delta = delta + self.rngs[k].normal(0.0, self.out_std_c)
-            obs_row[lay.temp_out] += out_temp_to_obs(delta)
+            if n_out:
+                delta = delta + self.out_std_c * z[:, n_temp]
+            obs[:, lay.temp_out] += out_temp_to_obs(delta)
         if self.ghi_rel_std > 0.0:
-            factor = 1.0 + self.rngs[k].normal(0.0, self.ghi_rel_std)
-            obs_row[lay.ghi] *= max(factor, 0.0)
+            factor = 1.0 + self.ghi_rel_std * z[:, -1]
+            obs[:, lay.ghi] *= np.maximum(factor, 0.0)
 
     def describe(self) -> str:
         return (
@@ -123,11 +130,10 @@ class StuckSensor(FaultModel):
         self._held = np.zeros(self.n_envs)
         self._held_set = np.zeros(self.n_envs, dtype=bool)
 
-    def on_reset(self, k: int) -> None:
-        self._held_set[k] = False
+    def on_reset(self, rows) -> None:
+        self._held_set[rows] = False
 
-    def _index(self, k: int) -> Optional[int]:
-        lay = self.layouts[k]
+    def _column(self, lay: ObsLayout) -> Optional[int]:
         if self.channel == "zone_temp":
             if self.zone >= lay.n_zones:  # no such zone in this env: inert
                 return None
@@ -136,19 +142,19 @@ class StuckSensor(FaultModel):
             return lay.temp_out
         return lay.ghi
 
-    def apply_obs(self, k: int, obs_row: np.ndarray, step: int) -> None:
-        if not self.in_window(step, self.start_step, self.duration_steps):
-            return
-        index = self._index(k)
-        if index is None:
+    def apply_obs(self, lay, rows, steps, obs) -> None:
+        col = self._column(lay)
+        on = self.in_window(steps, self.start_step, self.duration_steps)
+        if col is None or not on.any():
             return
         if self.mode == "drop":
-            obs_row[index] = 0.0
+            obs[on, col] = 0.0
             return
-        if not self._held_set[k]:
-            self._held[k] = float(obs_row[index])
-            self._held_set[k] = True
-        obs_row[index] = self._held[k]
+        # Rows entering the window latch their current reading.
+        latch = on & ~self._held_set[rows]
+        self._held[rows[latch]] = obs[latch, col]
+        self._held_set[rows[latch]] = True
+        obs[on, col] = self._held[rows[on]]
 
     def state_dict(self) -> dict:
         return {
@@ -220,23 +226,16 @@ class ActuatorFault(FaultModel):
         self.start_step = int(start_step)
         self.duration_steps = duration_steps
 
-    def apply_action(self, k: int, levels: np.ndarray, step: int) -> np.ndarray:
-        if not self.in_window(step, self.start_step, self.duration_steps):
-            return levels
-        lay = self.layouts[k]
+    def apply_action(self, lay, rows, steps, levels) -> None:
+        if self.zone is not None and self.zone >= lay.n_zones:
+            return  # no such zone in these envs: inert
+        on = self.in_window(steps, self.start_step, self.duration_steps)
+        zones = slice(None) if self.zone is None else self.zone
         if self.mode == "stuck":
-            value = min(self.stuck_level, lay.n_levels - 1)
-            if self.zone is None:
-                levels[:] = value
-            elif self.zone < lay.n_zones:
-                levels[self.zone] = value
-            return levels
-        cap = int(np.floor(self.capacity_factor * (lay.n_levels - 1)))
-        if self.zone is None:
-            np.minimum(levels, cap, out=levels)
-        elif self.zone < lay.n_zones:
-            levels[self.zone] = min(int(levels[self.zone]), cap)
-        return levels
+            levels[on, zones] = min(self.stuck_level, lay.n_levels - 1)
+        else:
+            cap = int(np.floor(self.capacity_factor * (lay.n_levels - 1)))
+            levels[on, zones] = np.minimum(levels[on, zones], cap)
 
     def describe(self) -> str:
         where = "all zones" if self.zone is None else f"zone {self.zone}"
@@ -273,18 +272,18 @@ class ForecastFault(FaultModel):
         self.temp_std_c = float(temp_std_c)
         self.ghi_rel_bias = float(ghi_rel_bias)
 
-    def apply_obs(self, k: int, obs_row: np.ndarray, step: int) -> None:
-        lay = self.layouts[k]
-        if lay.horizon == 0:
+    def apply_obs(self, lay, rows, steps, obs) -> None:
+        h = lay.horizon
+        if h == 0:
             return
-        delta = np.full(lay.horizon, self.temp_bias_c)
+        delta = self.temp_bias_c
         if self.temp_std_c > 0.0:
-            delta = delta + self.rngs[k].normal(
-                0.0, self.temp_std_c, size=lay.horizon
+            delta = delta + self._draw(
+                rows, lambda rng: rng.normal(0.0, self.temp_std_c, size=h)
             )
-        obs_row[lay.forecast_temp] += out_temp_to_obs(delta)
+        obs[:, lay.forecast_temp] += out_temp_to_obs(delta)
         if self.ghi_rel_bias != 0.0:
-            obs_row[lay.forecast_ghi] *= 1.0 + self.ghi_rel_bias
+            obs[:, lay.forecast_ghi] *= 1.0 + self.ghi_rel_bias
 
     def describe(self) -> str:
         return (
@@ -325,16 +324,15 @@ class OccupancyFault(FaultModel):
         self.surprise_start = surprise_start
         self.surprise_duration = surprise_duration
 
-    def apply_obs(self, k: int, obs_row: np.ndarray, step: int) -> None:
-        lay = self.layouts[k]
-        occ = obs_row[lay.occupied]
+    def apply_obs(self, lay, rows, steps, obs) -> None:
+        occ = obs[:, lay.occupied]
         if self.p_flip > 0.0:
-            flips = self.rngs[k].uniform(size=lay.n_zones) < self.p_flip
+            m = lay.n_zones
+            flips = self._draw(rows, lambda rng: rng.uniform(size=m)) < self.p_flip
             occ[:] = np.where(flips, 1.0 - occ, occ)
-        if self.surprise_start is not None and self.in_window(
-            step, self.surprise_start, self.surprise_duration
-        ):
-            occ[:] = 1.0 - occ
+        if self.surprise_start is not None:
+            on = self.in_window(steps, self.surprise_start, self.surprise_duration)
+            occ[on] = 1.0 - occ[on]
 
     def describe(self) -> str:
         parts: List[str] = []

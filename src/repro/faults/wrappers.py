@@ -1,12 +1,15 @@
-"""Fault-injecting env wrappers: scalar and batched.
+"""Fault-injecting env wrappers: a faulted fleet, and a one-row one.
 
-:class:`FaultyHVACEnv` wraps one :class:`~repro.env.hvac_env.HVACEnv`;
 :class:`FaultyVectorHVACEnv` wraps a whole
-:class:`~repro.sim.vector_env.VectorHVACEnv` fleet.  Both apply the same
-injector hooks at the same points (action before the plant, observation
-after the step, reset observation after a reset), so a batched faulted
-fleet reproduces the corresponding scalar faulted envs bit for bit —
-including RNG consumption — and a clean profile (``"none"``) leaves the
+:class:`~repro.sim.vector_env.VectorHVACEnv` fleet and applies the
+injector's row-block hooks to its active rows: the action hook before
+the plant, the observation hook after the step, and — for autoreset
+rows — the terminal observation's step hook, ``on_reset`` and the reset
+observation's hook.  :class:`FaultyHVACEnv` *is* a one-row faulted fleet
+(as the scalar :class:`~repro.env.hvac_env.HVACEnv` is a one-row fleet),
+so a batched faulted fleet reproduces the corresponding scalar faulted
+envs bit for bit — including RNG consumption — exactly when a row does
+not depend on its fleet-mates; a clean profile (``"none"``) leaves the
 wrapped env's trajectories untouched.
 
 The wrappers *are* the sensing boundary: ``unwrapped()`` returns the
@@ -20,7 +23,7 @@ physical reality.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,7 +44,8 @@ def _resolve(profile: ProfileLike) -> FaultProfile:
 
 
 class FaultyHVACEnv:
-    """One HVAC env behind a composable fault injector.
+    """One HVAC env behind a composable fault injector: a one-row
+    :class:`FaultyVectorHVACEnv` over the env's own one-row fleet.
 
     Parameters
     ----------
@@ -58,43 +62,23 @@ class FaultyHVACEnv:
 
     def __init__(self, env: HVACEnv, profile: ProfileLike, *, seed: int = 0) -> None:
         self.env = env
-        self.profile = _resolve(profile)
+        self._faulted = FaultyVectorHVACEnv(env._fleet, profile, seeds=[seed])
+        self.profile = self._faulted.profile
+        self.injector: Optional[FaultInjector] = self._faulted.injector
         self.observation_space = env.observation_space
         self.action_space = env.action_space
-        self.layout = ObsLayout.from_env(env)
-        self.injector: Optional[FaultInjector] = self.profile.build(
-            [self.layout], [seed]
-        )
-        self._last_obs: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------ lifecycle
     def reset(self) -> np.ndarray:
-        obs = self.env.reset()
-        if self.injector is not None:
-            self.injector.on_reset(0)
-            self.injector.apply_reset_obs(0, obs)
-            # Retain a private copy: callers own the returned array and
-            # may mutate it, but sensed temps / checkpoints must keep
-            # reading the faulted observation as emitted.
-            self._last_obs = obs.copy()
-        return obs
+        return self._faulted.reset()[0]
 
     def step(self, action) -> StepResult:
+        obs, reward, done, info = self._faulted.step(self.env._fleet_levels(action))
+        env_info = info.per_env(0, self.env.building.n_zones)
         if self.injector is not None:
-            levels = np.atleast_1d(np.asarray(action, dtype=int))
-            applied = self.injector.apply_action(0, levels)
-        else:
-            applied = action
-        obs, reward, done, info = self.env.step(applied)
-        if self.injector is not None:
-            self.injector.apply_step_obs(0, obs)
-            info = dict(info)
-            info["commanded_levels"] = np.atleast_1d(
-                np.asarray(action, dtype=int)
-            ).copy()
-            info["sensed_temps_c"] = self.layout.sensed_temps_c(obs)
-            self._last_obs = obs.copy()
-        return obs, reward, done, info
+            env_info["commanded_levels"] = info.commanded_levels[0]
+            env_info["sensed_temps_c"] = self.zone_temps_c
+        return obs[0], float(reward[0]), bool(done[0]), env_info
 
     def close(self) -> None:
         self.env.close()
@@ -108,9 +92,7 @@ class FaultyHVACEnv:
     @property
     def zone_temps_c(self) -> np.ndarray:
         """Zone temperatures as the (faulted) sensors read them."""
-        if self.injector is None or self._last_obs is None:
-            return self.env.zone_temps_c
-        return self.layout.sensed_temps_c(self._last_obs)
+        return self._faulted.sensed_zone_temps_c[0]
 
     @property
     def true_zone_temps_c(self) -> np.ndarray:
@@ -124,13 +106,13 @@ class FaultyHVACEnv:
 
     # -------------------------------------------------------- checkpointing
     def state_dict(self) -> dict:
-        """Env state plus injector state (counters, fault RNGs, latches)."""
+        """Env state plus injector state (counters, fault RNGs, latches)
+        and the faulted last observation."""
         state = {"env": self.env.state_dict()}
         if self.injector is not None:
+            last = self._faulted._last_obs
             state["faults"] = self.injector.state_dict()
-            state["last_obs"] = (
-                None if self._last_obs is None else self._last_obs.tolist()
-            )
+            state["last_obs"] = None if last is None else last[0].tolist()
         return state
 
     def load_state_dict(self, state: dict) -> None:
@@ -139,8 +121,8 @@ class FaultyHVACEnv:
         if self.injector is not None:
             self.injector.load_state_dict(state["faults"])
             last = state.get("last_obs")
-            self._last_obs = (
-                None if last is None else np.asarray(last, dtype=np.float64)
+            self._faulted._last_obs = (
+                None if last is None else np.asarray([last], dtype=np.float64)
             )
 
     def __repr__(self) -> str:
@@ -154,7 +136,10 @@ class FaultyVectorHVACEnv:
     (``reset``/``step``/``env_view``/``state_dict``); injection is
     mask-aware — frozen (done, ``autoreset=False``) rows neither draw
     fault randomness nor advance their fault windows, exactly like a
-    scalar env that is no longer stepped.
+    scalar env that is no longer stepped.  ``step`` rejects out-of-range
+    levels with the fleet's own check before any fault acts, and reports
+    the commanded ``(n_envs, max_zones)`` matrix as
+    ``info.commanded_levels``.
 
     Parameters
     ----------
@@ -204,65 +189,42 @@ class FaultyVectorHVACEnv:
     def reset(self) -> np.ndarray:
         obs = self.vec_env.reset()
         if self.injector is not None:
-            for k in range(self.vec_env.n_envs):
-                self.injector.on_reset(k)
-                self.injector.apply_reset_obs(k, obs[k, : self.layouts[k].obs_dim])
+            rows = self.vec_env._rows
+            self.injector.on_reset(rows)
+            self.injector.apply_reset_obs(rows, obs)
             # Private copy: the caller owns the returned batch (the inner
             # fleet's return-a-copy contract), and may mutate it.
             self._last_obs = obs.copy()
         return obs
-
-    def _per_env_actions(self, actions) -> List[np.ndarray]:
-        """Split stacked/listed actions into unpadded per-env vectors."""
-        n = self.vec_env.n_envs
-        if isinstance(actions, (list, tuple)):
-            if len(actions) != n:
-                raise ValueError(f"need {n} per-env actions, got {len(actions)}")
-            return [np.atleast_1d(np.asarray(a, dtype=int)) for a in actions]
-        stacked = np.asarray(actions, dtype=int)
-        if stacked.ndim == 1 and self.vec_env.max_zones == 1:
-            stacked = stacked[:, None]
-        if stacked.shape != (n, self.vec_env.max_zones):
-            raise ValueError(
-                f"actions must have shape ({n}, {self.vec_env.max_zones}), "
-                f"got {stacked.shape}"
-            )
-        return [stacked[k, : self.layouts[k].n_zones] for k in range(n)]
 
     def step(
         self, actions
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, BatchStepInfo]:
         if self.injector is None:
             return self.vec_env.step(actions)
+        vec = self.vec_env
+        commanded = vec._coerce_actions(actions)
+        levels = self.injector.apply_action(np.flatnonzero(~vec._done), commanded)
+        obs, rewards, dones, info = vec.step(levels)
 
-        per_env = self._per_env_actions(actions)
-        active = ~self.vec_env.dones  # all True under autoreset
-        commanded = [levels.copy() for levels in per_env]
-        for k in np.flatnonzero(active):
-            per_env[k] = self.injector.apply_action(int(k), per_env[k])
-        obs, rewards, dones, info = self.vec_env.step(list(per_env))
-
-        # Frozen rows (done, autoreset=False) are rebuilt clean by the
-        # inner fleet each step; a scalar faulted env that is no longer
-        # stepped keeps its last faulted observation, so restore ours.
-        if self._last_obs is not None and not np.all(info.active):
+        # Frozen rows (done, autoreset=False) keep the inner fleet's clean
+        # observation; a scalar faulted env that is no longer stepped
+        # keeps its last faulted one, so restore ours.
+        if not info.active.all():
             frozen = ~info.active
             obs[frozen] = self._last_obs[frozen]
 
         # Post-step observations: autoreset rows fault their terminal
         # observation, roll the episode clock, then fault the fresh row —
-        # the exact scalar wrapper sequence (step → reset).
-        for k in np.flatnonzero(info.active):
-            row = obs[k, : self.layouts[k].obs_dim]
-            if self.vec_env.autoreset and dones[k]:
-                if info.terminal_obs is not None:
-                    self.injector.apply_step_obs(
-                        int(k), info.terminal_obs[k, : self.layouts[k].obs_dim]
-                    )
-                self.injector.on_reset(int(k))
-                self.injector.apply_reset_obs(int(k), row)
-            else:
-                self.injector.apply_step_obs(int(k), row)
+        # the scalar wrapper's step → reset sequence.
+        stepped = np.flatnonzero(info.active)
+        if vec.autoreset and dones.any():
+            reset = np.flatnonzero(dones)
+            self.injector.apply_step_obs(reset, info.terminal_obs)
+            self.injector.on_reset(reset)
+            self.injector.apply_reset_obs(reset, obs)
+            stepped = np.flatnonzero(~dones)
+        self.injector.apply_step_obs(stepped, obs)
         info.commanded_levels = commanded  # type: ignore[attr-defined]
         self._last_obs = obs.copy()
         return obs, rewards, dones, info
@@ -330,11 +292,8 @@ class _FaultedEnvView:
 
     @property
     def zone_temps_c(self) -> np.ndarray:
-        wrapper, k = self._wrapper, self._k
-        lay = wrapper.layouts[k]
-        if wrapper.injector is None or wrapper._last_obs is None:
-            return self._inner_view.zone_temps_c
-        return lay.sensed_temps_c(wrapper._last_obs[k, : lay.obs_dim])
+        m = self._wrapper.layouts[self._k].n_zones
+        return self._wrapper.sensed_zone_temps_c[self._k, :m]
 
     @property
     def time_index(self) -> int:

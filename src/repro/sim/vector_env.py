@@ -396,6 +396,8 @@ class VectorHVACEnv:
 
     # -------------------------------------------------------------- stepping
     def _coerce_actions(self, actions) -> np.ndarray:
+        """``actions`` as a new, range-checked ``(n_envs, max_zones)`` int64
+        matrix with padded zones at 0."""
         if isinstance(actions, (list, tuple)) and actions and np.ndim(actions[0]) > 0:
             levels = np.zeros((self.n_envs, self.max_zones), dtype=np.int64)
             if len(actions) != self.n_envs:
@@ -411,7 +413,7 @@ class VectorHVACEnv:
                     )
                 levels[k, :m] = a
         else:
-            levels = np.asarray(actions, dtype=np.int64)
+            levels = np.array(actions, dtype=np.int64)
             if levels.ndim == 1 and self.max_zones == 1:
                 levels = levels[:, None]
             if levels.shape != (self.n_envs, self.max_zones):
@@ -420,7 +422,7 @@ class VectorHVACEnv:
                     f"got {levels.shape}"
                 )
             if self._padded:
-                levels = np.where(self.zone_mask, levels, 0)
+                levels *= self.zone_mask
         # Viewed unsigned, a negative level is huge: one test checks both bounds.
         if np.count_nonzero(levels.view(np.uint64) >= self._level_limit):
             raise ValueError("an action level is not in its env's valid range")
@@ -493,7 +495,7 @@ class VectorHVACEnv:
             temp_out_c=temp_out,
             ghi_w_m2=ghi,
             price_per_kwh=price,
-            levels=levels.copy(),
+            levels=levels,
             occupied=occupied,
             day_of_year=self._flat_day[at],
             hour_of_day=self._flat_hour[at],

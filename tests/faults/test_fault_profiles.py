@@ -72,7 +72,7 @@ class TestProfileBuild:
         a = profile.build([LAYOUT], [0])
         b = profile.build([LAYOUT], [0])
         obs = np.full(LAYOUT.obs_dim, 0.25)
-        a.apply_reset_obs(0, obs)
+        a.apply_reset_obs(np.array([0]), obs[None])
         assert a.models[0]._held_set[0]
         assert not b.models[0]._held_set[0]
         # The registered template itself stays unbound.

@@ -1,5 +1,10 @@
 """Fault wrapper contracts: scalar/vector bit parity, clean pass-through,
-mask-awareness, and the faulted sensing surface."""
+mask-awareness, the faulted sensing surface, and action validation.
+
+A scalar ``FaultyHVACEnv`` is a one-row faulted fleet, so the
+scalar-vs-vector parity tests check that a faulted row does not depend
+on its fleet-mates: each row of a faulted fleet must match the same env
+faulted alone."""
 
 import numpy as np
 import pytest
@@ -249,6 +254,55 @@ class TestSensingSurface:
 
 
 class TestWrapperValidation:
+    @pytest.mark.parametrize("profile", ["noisy-sensors", "degraded-capacity"])
+    @pytest.mark.parametrize("bad", [[99, 0], [0, -1], [4, 3]], ids=str)
+    def test_invalid_levels_raise_like_the_clean_fleet(self, profile, bad):
+        """No fault model sees an out-of-range level: the faulted fleet and
+        the scalar faulted env reject it with the clean fleet's error."""
+        seeds = [0, 1]
+        clean = VectorHVACEnv(build_fleet(_SCENARIO, seeds), autoreset=False)
+        faulted = FaultyVectorHVACEnv(
+            VectorHVACEnv(build_fleet(_SCENARIO, seeds), autoreset=False),
+            profile,
+            seeds=seeds,
+        )
+        clean.reset()
+        faulted.reset()
+        before = faulted.injector.state_dict()
+        error = "an action level is not in its env's valid range"
+        for actions in (np.array(bad)[:, None], [np.array([a]) for a in bad]):
+            with pytest.raises(ValueError, match=error):
+                clean.step(actions)
+            with pytest.raises(ValueError, match=error):
+                faulted.step(actions)
+        assert faulted.injector.state_dict() == before
+        clean_scalar = _SCENARIO.build(0)
+        scalar = FaultyHVACEnv(_SCENARIO.build(0), profile, seed=0)
+        clean_scalar.reset()
+        scalar.reset()
+        level = next(a for a in bad if not 0 <= a < 4)
+        for action in ([level], level):
+            with pytest.raises(ValueError, match=error):
+                clean_scalar.step(action)
+            with pytest.raises(ValueError, match=error):
+                scalar.step(action)
+
+    def test_scalar_env_raises_once_its_episode_ends(self):
+        env = FaultyHVACEnv(
+            _SCENARIO.with_overrides(name="fault-end", episode_days=0.25).build(0),
+            "noisy-sensors",
+            seed=0,
+        )
+        with pytest.raises(RuntimeError, match="reset"):
+            env.step([1])
+        env.reset()
+        done = False
+        while not done:
+            _, _, done, _ = env.step([1])
+        before = env.state_dict()
+        with pytest.raises(RuntimeError, match="reset"):
+            env.step([1])
+        assert env.state_dict() == before
     def test_vector_wrapper_needs_one_seed_per_env(self):
         vec = VectorHVACEnv(build_fleet(_SCENARIO, [0, 1]), autoreset=False)
         with pytest.raises(ValueError, match="seed"):

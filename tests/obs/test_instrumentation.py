@@ -130,6 +130,7 @@ class TestBatcherInstrumentation:
 
 class TestFaultInjectorInstrumentation:
     LAYOUT = ObsLayout(n_zones=1, horizon=2, n_levels=4)
+    ROW = np.array([0])
 
     def _injector(self):
         return FaultInjector(
@@ -140,11 +141,11 @@ class TestFaultInjectorInstrumentation:
 
     def test_counts_episodes_and_activations(self, telemetry):
         injector = self._injector()
-        injector.on_reset(0)
-        obs = np.full(self.LAYOUT.obs_dim, 0.5)
-        injector.apply_reset_obs(0, obs)
-        injector.apply_step_obs(0, obs)
-        injector.apply_action(0, np.array([1]))
+        injector.on_reset(self.ROW)
+        obs = np.full((1, self.LAYOUT.obs_dim), 0.5)
+        injector.apply_reset_obs(self.ROW, obs)
+        injector.apply_step_obs(self.ROW, obs)
+        injector.apply_action(self.ROW, np.array([[1]]))
         assert _value(telemetry, "faults.episodes_total") == 1.0
         assert (
             _value(telemetry, "faults.activations_total", model="sensor_noise")
@@ -158,9 +159,9 @@ class TestFaultInjectorInstrumentation:
                 previous = set_telemetry(Telemetry())
             try:
                 injector = self._injector()
-                injector.on_reset(0)
-                obs = np.full(self.LAYOUT.obs_dim, 0.5)
-                injector.apply_reset_obs(0, obs)
+                injector.on_reset(self.ROW)
+                obs = np.full((1, self.LAYOUT.obs_dim), 0.5)
+                injector.apply_reset_obs(self.ROW, obs)
                 return obs
             finally:
                 if enabled:

@@ -117,12 +117,12 @@ def test_parent_checkpoint_resumes_byte_exactly(name):
     assert digest(rewards) == PARENT[name]["rewards"]
 
 
-@pytest.mark.parametrize("name", ["scalar", "faulty_scalar"])
-def test_scalar_checkpoint_layout_unchanged(name):
-    make, _ = CASES[name]
-    env = make()
-    env.load_state_dict(PARENT[name]["state"])
-    assert json.loads(json.dumps(env.state_dict())) == PARENT[name]["state"]
+def test_scalar_checkpoint_layout_unchanged():
+    for name in ("scalar", "faulty_scalar"):
+        make, _ = CASES[name]
+        env = make()
+        env.load_state_dict(PARENT[name]["state"])
+        assert json.loads(json.dumps(env.state_dict())) == PARENT[name]["state"], name
 
 
 @pytest.mark.parametrize("name", ["fleet", "faulty"])

@@ -36,15 +36,23 @@ Exposes the library's main workflows without writing Python:
   directory.
 * ``repro-hvac obs``        — inspect telemetry produced by the
   ``--trace PATH`` / ``--metrics PATH`` flags (available on ``train``,
-  ``serve``, ``loadtest``, ``campaign``, ``robustness``): dump a
-  metrics snapshot, tail a trace, export Prometheus text or a Chrome
-  trace, or validate exported files against the metric catalog.
+  ``serve``, ``loadtest``, ``campaign``, ``robustness``, ``workload``):
+  dump a metrics snapshot, tail a trace, export Prometheus text or a
+  Chrome trace, or validate exported files against the metric catalog.
   Monitoring lives here too: ``serve``/``loadtest``/``workload``/
   ``campaign``/``robustness`` accept ``--slo NAME`` and
   ``--sample-every SECONDS`` to sample windowed rates/quantiles
   in-session and exit non-zero on an SLO breach, and ``obs
   watch``/``obs slo``/``obs detect`` render, re-evaluate, and scan the
   resulting sample streams.
+
+Each flag shared between commands is defined once, in ``_GROUPS``, and
+``_COMMAND_GROUPS`` says which command carries which flag group.
+
+Exit codes: ``0`` success; ``1`` an SLO breach, ``obs check`` problems,
+or ``obs detect --fail-on-detect`` findings; ``2`` a bad input — any
+``OSError``, ``ValueError`` or ``KeyError`` a command raises is printed
+as ``<command>: <message>`` on stderr by :func:`main`.
 
 Usage::
 
@@ -68,6 +76,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional, Tuple
 
@@ -103,10 +112,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    train = sub.add_parser(
+    def command(name: str, help: str, epilog: Optional[str] = None, **defaults):
+        """A subcommand with its ``_COMMAND_GROUPS`` flags; ``defaults``
+        overrides group defaults for this command."""
+        cmd = sub.add_parser(
+            name,
+            help=help,
+            epilog=epilog,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
+        for group in _COMMAND_GROUPS.get(name, ()):
+            for flag, spec in _GROUPS[group].items():
+                cmd.add_argument(flag, **spec)
+        cmd.set_defaults(**defaults)
+        return cmd
+
+    train = command(
         "train",
-        help="train a single-zone DQN controller",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        "train a single-zone DQN controller",
         epilog=(
             "By default nothing is written: pass --out agent.json for an\n"
             "inference checkpoint (load with `evaluate --checkpoint`), or\n"
@@ -118,15 +141,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "(campaign runs) or plain cat."
         ),
     )
-    train.add_argument("--episodes", type=int, default=120)
-    train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--comfort-weight", type=float, default=4.0)
-    train.add_argument("--out", type=str, default=None, help="checkpoint JSON path")
-    train.add_argument(
+    _flag(train, "--episodes", default=120)
+    _flag(train, "--seed")
+    _flag(train, "--out", help="checkpoint JSON path")
+    _flag(
+        train,
         "--store",
-        type=str,
-        default=None,
-        metavar="RUN_DIR",
         help=(
             "durable run directory: saves the full trainer checkpoint and "
             "training log; reruns resume from it"
@@ -152,10 +172,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    evaluate = sub.add_parser(
+    evaluate = command(
         "evaluate",
-        help="evaluate a controller",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        "evaluate a controller",
         epilog=(
             "Prints the comparison row to stdout (no files are written).\n"
             "--checkpoint accepts both checkpoint formats `train` emits:\n"
@@ -163,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "weights-only payload from earlier releases."
         ),
     )
-    evaluate.add_argument("--checkpoint", type=str, default=None)
+    _flag(evaluate, "--checkpoint")
     evaluate.add_argument(
         "--baseline",
         choices=["thermostat", "pid"],
@@ -171,25 +190,23 @@ def _build_parser() -> argparse.ArgumentParser:
         help="evaluate a named baseline instead of a checkpoint",
     )
     evaluate.add_argument("--days", type=int, default=7)
-    evaluate.add_argument("--seed", type=int, default=0)
-    evaluate.add_argument("--comfort-weight", type=float, default=4.0)
+    _flag(evaluate, "--seed")
 
-    experiment = sub.add_parser("experiment", help="run a paper experiment")
+    experiment = command("experiment", "run a paper experiment")
     experiment.add_argument("id", choices=sorted(_EXPERIMENTS))
     experiment.add_argument(
         "--profile", choices=sorted(_PROFILES), default="fast"
     )
 
-    weather = sub.add_parser("weather", help="generate a synthetic weather CSV")
+    weather = command("weather", "generate a synthetic weather CSV")
     weather.add_argument("--days", type=float, default=30.0)
     weather.add_argument("--start-day", type=int, default=200)
-    weather.add_argument("--seed", type=int, default=0)
-    weather.add_argument("--out", type=str, required=True)
+    _flag(weather, "--seed")
+    _flag(weather, "--out", required=True, help="weather CSV path")
 
-    campaign = sub.add_parser(
+    campaign = command(
         "campaign",
-        help="run a scenario x controller x seed campaign",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        "run a scenario x controller x seed campaign",
         epilog=(
             "By default results are only printed; --out campaign.json\n"
             "writes the rows as JSON.  With --resume RUN_DIR every cell is\n"
@@ -200,53 +217,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     campaign.add_argument(
-        "--scenarios",
-        type=str,
-        default="all",
-        help="comma-separated registered scenario names, or 'all'",
-    )
-    campaign.add_argument(
-        "--controllers",
-        type=str,
-        default="thermostat",
-        help="comma-separated controllers (thermostat, pid, random)",
-    )
-    campaign.add_argument(
-        "--seeds", type=int, default=1, help="number of seeds (0..N-1) per cell"
-    )
-    campaign.add_argument("--episodes", type=int, default=1)
-    campaign.add_argument(
-        "--faults",
-        type=str,
-        default="none",
-        help=(
-            "comma-separated fault profiles to add as a grid axis "
-            "(default: none; see `robustness --list-faults`)"
-        ),
-    )
-    campaign.add_argument("--executor", choices=["serial", "process"], default="serial")
-    campaign.add_argument("--workers", type=int, default=None)
-    campaign.add_argument("--out", type=str, default=None, help="JSON output path")
-    campaign.add_argument(
-        "--resume",
-        type=str,
-        default=None,
-        metavar="RUN_DIR",
-        help=(
-            "durable run directory (created if missing); completed cells "
-            "are stored there and skipped on rerun"
-        ),
-    )
-    campaign.add_argument(
         "--list-scenarios",
         action="store_true",
         help="list registered scenarios and exit",
     )
 
-    robustness = sub.add_parser(
+    robustness = command(
         "robustness",
-        help="run a fault-injection robustness campaign",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        "run a fault-injection robustness campaign",
         epilog=(
             "Sweeps scenario x fault x controller x seed through the\n"
             "vectorized fleet simulator.  The clean baseline (fault\n"
@@ -258,45 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "report RUN_DIR` (Markdown, including the degradation\n"
             "table).  --out writes rows + degradation summary as JSON."
         ),
-    )
-    robustness.add_argument(
-        "--scenarios",
-        type=str,
-        default="baseline-tou",
-        help="comma-separated registered scenario names, or 'all'",
-    )
-    robustness.add_argument(
-        "--faults",
-        type=str,
-        default="all",
-        help="comma-separated fault profile names, or 'all' (default)",
-    )
-    robustness.add_argument(
-        "--controllers",
-        type=str,
-        default="thermostat",
-        help="comma-separated controllers (thermostat, pid, random)",
-    )
-    robustness.add_argument(
-        "--seeds", type=int, default=1, help="number of seeds (0..N-1) per cell"
-    )
-    robustness.add_argument("--episodes", type=int, default=1)
-    robustness.add_argument(
-        "--executor", choices=["serial", "process"], default="serial"
-    )
-    robustness.add_argument("--workers", type=int, default=None)
-    robustness.add_argument(
-        "--out", type=str, default=None, help="JSON output path"
-    )
-    robustness.add_argument(
-        "--resume",
-        type=str,
-        default=None,
-        metavar="RUN_DIR",
-        help=(
-            "durable run directory (created if missing); completed cells "
-            "are stored there and skipped on rerun"
-        ),
+        scenarios="baseline-tou",
+        faults="all",
     )
     robustness.add_argument(
         "--list-faults",
@@ -304,10 +245,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="list registered fault profiles and exit",
     )
 
-    serve = sub.add_parser(
+    serve = command(
         "serve",
-        help="serve a policy to a simulated fleet through the gateway",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        "serve a policy to a simulated fleet through the gateway",
         epilog=(
             "Builds a fleet of --fleet buildings from --scenario, routes\n"
             "every client to one policy (--checkpoint FILE, --run RUN_DIR\n"
@@ -319,7 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "`repro-hvac report`."
         ),
     )
-    _add_serving_args(serve)
     serve.add_argument(
         "--list-chaos",
         action="store_true",
@@ -336,10 +275,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    loadtest = sub.add_parser(
+    loadtest = command(
         "loadtest",
-        help="drive a large fleet through the serving gateway",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        "drive a large fleet through the serving gateway",
         epilog=(
             "The fleet load harness: serves --steps ticks to a --fleet\n"
             "sized fleet twice — micro-batched, then per-request\n"
@@ -356,7 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--out writes the JSON record (BENCH_serve.json in CI)."
         ),
     )
-    _add_serving_args(loadtest)
     loadtest.add_argument(
         "--baseline-share",
         type=float,
@@ -369,14 +306,11 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="measure only the micro-batched mode (skip the comparison run)",
     )
-    loadtest.add_argument(
-        "--out", type=str, default=None, help="write the JSON record here"
-    )
+    _flag(loadtest, "--out")
 
-    workload = sub.add_parser(
+    workload = command(
         "workload",
-        help="generate and replay deterministic workload traces",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        "generate and replay deterministic workload traces",
         epilog=(
             "Actions:\n"
             "  list      registered workload presets\n"
@@ -391,7 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "            fingerprint.  --resume RUN_DIR persists cells\n"
             "            and recorded traces (resumable, bit-identical\n"
             "            fingerprints); --from-trace FILE replays one\n"
-            "            recorded trace file instead of a grid.\n"
+            "            recorded trace file instead of a grid, and only\n"
+            "            it takes --chaos/--chaos-seed.\n"
             "\n"
             "Replay is always micro-batched deterministic serving, so the\n"
             "same trace yields the same actions, flush sequence, and\n"
@@ -413,82 +348,37 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help="comma-separated workload presets, or 'all' (default)",
     )
-    workload.add_argument(
-        "--scenarios",
-        type=str,
-        default="baseline-tou",
-        help="replay: comma-separated registered scenario names, or 'all'",
-    )
-    workload.add_argument(
-        "--controllers",
-        type=str,
-        default="thermostat",
-        help="replay: comma-separated controllers (thermostat, pid, random, dqn)",
-    )
-    workload.add_argument(
-        "--faults",
-        type=str,
-        default="none",
-        help="replay: comma-separated fault profiles (default: none)",
-    )
-    workload.add_argument(
-        "--fleet", type=int, default=8,
-        help="fleet size = trace client count (default 8)",
-    )
-    workload.add_argument(
-        "--seed", type=int, default=0,
-        help="trace generation and fleet build seed (default 0)",
+    for flag in (
+        "--scenarios", "--controllers", "--faults", "--fleet", "--seed",
+        "--max-batch", "--chaos", "--chaos-seed", "--resume",
+    ):
+        _flag(workload, flag)
+    workload.set_defaults(
+        scenarios="baseline-tou", fleet=8, max_batch=64, chaos="none"
     )
     workload.add_argument(
         "--duration-s", type=float, default=None, metavar="SECONDS",
         help="override every workload's trace horizon (e.g. short CI runs)",
     )
     workload.add_argument(
-        "--max-batch", type=int, default=64,
-        help="micro-batcher flush size during replay (default 64)",
-    )
-    workload.add_argument(
         "--from-trace", type=str, default=None, metavar="FILE",
         help="replay: a standalone trace JSON written by `workload generate --out`",
     )
-    workload.add_argument(
-        "--chaos", type=str, default="none", metavar="PROFILE",
-        help=(
-            "replay --from-trace: inject a serve-side chaos profile; the "
-            "replay runs through the resilience ladder and stays "
-            "bit-reproducible (default: none)"
-        ),
-    )
-    workload.add_argument(
-        "--chaos-seed", type=int, default=None, metavar="SEED",
-        help="replay --from-trace: chaos stream seed (default: --seed)",
-    )
-    workload.add_argument(
-        "--out", type=str, default=None, metavar="FILE",
+    _flag(
+        workload,
+        "--out",
+        metavar="FILE",
         help="generate: write the trace JSON; replay: write the summary JSON",
     )
-    workload.add_argument(
+    _flag(
+        workload,
         "--store",
-        type=str,
-        default=None,
-        metavar="RUN_DIR",
         help="generate: record traces into a workload-suite run directory",
     )
-    workload.add_argument(
-        "--resume",
-        type=str,
-        default=None,
-        metavar="RUN_DIR",
-        help=(
-            "replay: durable run directory (created if missing); completed "
-            "cells and recorded traces are reused on rerun"
-        ),
-    )
 
-    report = sub.add_parser(
+    report = command(
         "report",
-        help="render a Markdown report from a run directory",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        "render a Markdown report from a run directory",
         epilog=(
             "Reads a run directory produced by `repro-hvac campaign\n"
             "--resume RUN_DIR`, `repro-hvac robustness --resume RUN_DIR`,\n"
@@ -503,14 +393,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     report.add_argument("run_dir", type=str, help="campaign or serve run directory")
-    report.add_argument(
-        "--out", type=str, default=None, help="write the report to this file"
-    )
+    _flag(report, "--out", help="write the report to this file")
 
-    obs = sub.add_parser(
+    obs = command(
         "obs",
-        help="inspect telemetry traces and metrics snapshots",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        "inspect telemetry traces and metrics snapshots",
         epilog=(
             "Actions:\n"
             "  dump    print a --metrics snapshot (--format json|prometheus)\n"
@@ -536,9 +423,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "          drift\n"
             "\n"
             "Produce inputs with the --trace PATH / --metrics PATH flags\n"
-            "of train, serve, loadtest, campaign, and robustness, and the\n"
-            "--slo/--sample-every monitoring flags of the serving-path\n"
-            "commands."
+            "of train, serve, loadtest, campaign, robustness and workload,\n"
+            "and the --slo/--sample-every monitoring flags of the\n"
+            "serving-path commands."
         ),
     )
     obs.add_argument(
@@ -554,9 +441,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace", type=str, default=None, metavar="FILE",
         help="span-event JSONL (from --trace PATH)",
     )
-    obs.add_argument(
-        "--out", type=str, default=None, metavar="FILE",
-        help="output path for export",
+    _flag(
+        obs,
+        "--out",
+        metavar="FILE",
+        help="output path of export, and of the slo and detect reports",
     )
     obs.add_argument(
         "--format", type=str, default=None,
@@ -636,224 +525,266 @@ def _build_parser() -> argparse.ArgumentParser:
         "--iterations", type=int, default=None, metavar="N",
         help="watch --follow: stop after N refreshes (default: unbounded)",
     )
-
-    for instrumented in (train, serve, loadtest, campaign, robustness, workload):
-        _add_telemetry_args(instrumented)
-    for monitored in (serve, loadtest, campaign, robustness, workload):
-        _add_monitor_args(monitored)
     return parser
 
 
-#: Subcommands carrying the --trace/--metrics telemetry flags.
-_TELEMETRY_COMMANDS = (
-    "train", "serve", "loadtest", "campaign", "robustness", "workload"
-)
+#: The flag groups shared between commands, one definition per flag:
+#: option string -> ``add_argument`` keywords.  Where a command differs
+#: it passes only the difference (its default, help or metavar).
+_GROUPS = {
+    # The grid axes and run options of a campaign sweep.
+    "sweep": {
+        "--scenarios": dict(
+            type=str,
+            default="all",
+            help=(
+                "comma-separated registered scenario names, or 'all' "
+                "(default: %(default)s)"
+            ),
+        ),
+        "--controllers": dict(
+            type=str,
+            default="thermostat",
+            help=(
+                "comma-separated controllers: thermostat, pid, random "
+                "(workload replay also takes dqn)"
+            ),
+        ),
+        "--faults": dict(
+            type=str,
+            default="none",
+            help=(
+                "comma-separated fault profiles (default: %(default)s; "
+                "see `robustness --list-faults`)"
+            ),
+        ),
+        "--seeds": dict(
+            type=int, default=1, help="number of seeds (0..N-1) per cell"
+        ),
+        "--episodes": dict(
+            type=int, default=1, help="episodes to run (default: %(default)s)"
+        ),
+        "--executor": dict(choices=["serial", "process"], default="serial"),
+        "--workers": dict(type=int, default=None),
+        "--out": dict(type=str, default=None, help="JSON output path"),
+        "--resume": dict(
+            type=str,
+            default=None,
+            metavar="RUN_DIR",
+            help=(
+                "durable run directory (created if missing); completed cells "
+                "are stored there and skipped on rerun"
+            ),
+        ),
+    },
+    # The fleet, policy, batcher and resilience of a serving session.
+    "serving": {
+        "--scenario": dict(
+            type=str,
+            default="baseline-tou",
+            help="registered scenario the fleet is built from",
+        ),
+        "--fleet": dict(
+            type=int,
+            default=16,
+            help="number of building clients (default: %(default)s)",
+        ),
+        "--steps": dict(type=int, default=96, help="control ticks to serve"),
+        "--checkpoint": dict(
+            type=str, default=None, help="policy checkpoint JSON"
+        ),
+        "--run": dict(
+            type=str,
+            default=None,
+            metavar="RUN_DIR",
+            help="load the policy from a train --store run directory",
+        ),
+        "--checkpoint-name": dict(
+            type=str,
+            default="trainer",
+            metavar="NAME",
+            help="checkpoint name inside --run (default: trainer)",
+        ),
+        "--max-batch": dict(
+            type=int,
+            default=256,
+            help=(
+                "micro-batcher flush size, requests per forward pass "
+                "(default: %(default)s)"
+            ),
+        ),
+        "--max-delay-ms": dict(
+            type=float,
+            default=5.0,
+            help="oldest-request deadline before a partial batch flushes",
+        ),
+        "--deterministic": dict(
+            action="store_true",
+            help=(
+                "replayable serving: ignore wall-clock deadlines so batch "
+                "composition (and every served action) is a pure function "
+                "of the request sequence"
+            ),
+        ),
+        "--seed": dict(
+            type=int,
+            default=0,
+            help="base seed of fleet builds and traces (default: %(default)s)",
+        ),
+        "--warmup": dict(
+            type=int,
+            default=0,
+            metavar="TICKS",
+            help=(
+                "serve this many unmeasured ticks before the throughput/"
+                "latency window opens (fleet reset is always excluded from "
+                "the window)"
+            ),
+        ),
+        "--store": dict(
+            type=str,
+            default=None,
+            metavar="RUN_DIR",
+            help="persist the serving telemetry as a run directory",
+        ),
+        # Resilience / chaos knobs (any of them arms the resilience ladder).
+        "--chaos": dict(
+            type=str,
+            default=None,
+            metavar="PROFILE",
+            help=(
+                "inject a registered serve-side chaos profile "
+                "(`serve --list-chaos` shows the catalog); arms the "
+                "resilience ladder so every tick still yields an action"
+            ),
+        ),
+        "--chaos-seed": dict(
+            type=int,
+            default=None,
+            metavar="SEED",
+            help="chaos RNG stream seed (default: --seed)",
+        ),
+        "--deadline-ms": dict(
+            type=float,
+            default=None,
+            metavar="MS",
+            help=(
+                "per-request deadline budget enforced at the flush; late "
+                "requests resolve as timeouts and walk the fallback chain"
+            ),
+        ),
+        "--retries": dict(
+            type=int,
+            default=None,
+            metavar="N",
+            help=(
+                "max attempts per route (first try included; default 3 once "
+                "the resilience ladder is armed)"
+            ),
+        ),
+        "--fallback": dict(
+            type=str,
+            default=None,
+            metavar="CHAIN",
+            help=(
+                "comma-separated degraded-mode route chain tried when the "
+                "primary fails, e.g. dqn@1,baseline:thermostat"
+            ),
+        ),
+        "--max-inflight": dict(
+            type=int,
+            default=None,
+            metavar="N",
+            help=(
+                "admission bound: shed requests once this many are pending "
+                "(explicit rejection instead of unbounded queueing)"
+            ),
+        ),
+    },
+    # The reward weight of the single-zone train/evaluate env.
+    "reward": {"--comfort-weight": dict(type=float, default=4.0)},
+    # Either flag enables telemetry for the whole invocation.
+    "telemetry": {
+        "--trace": dict(
+            type=str,
+            default=None,
+            metavar="PATH",
+            help=(
+                "enable telemetry and stream span events to PATH as JSONL "
+                "(inspect with `repro-hvac obs tail/export`)"
+            ),
+        ),
+        "--metrics": dict(
+            type=str,
+            default=None,
+            metavar="PATH",
+            help=(
+                "enable telemetry and write the final metrics snapshot to "
+                "PATH as JSON (inspect with `repro-hvac obs dump/export`)"
+            ),
+        ),
+    },
+    # --slo or --sample-every enables telemetry too and runs an
+    # in-session SnapshotSampler over the live registry; --slo also
+    # evaluates the samples at session end and exits 1 on breach.
+    "monitor": {
+        "--slo": dict(
+            type=str,
+            default=None,
+            metavar="NAME",
+            help=(
+                "evaluate the session against this SLO preset and exit "
+                "non-zero on breach (see `repro-hvac obs slo --list`)"
+            ),
+        ),
+        "--sample-every": dict(
+            type=float,
+            default=None,
+            metavar="SECONDS",
+            help=(
+                "capture a windowed telemetry sample every SECONDS "
+                "(default 1.0 when --slo is given)"
+            ),
+        ),
+        "--samples": dict(
+            type=str,
+            default=None,
+            metavar="PATH",
+            help=(
+                "sample-stream JSONL path (default: <command>_samples.jsonl; "
+                "inspect with `repro-hvac obs watch/slo/detect`)"
+            ),
+        ),
+        "--slo-out": dict(
+            type=str,
+            default=None,
+            metavar="PATH",
+            help="SLO verdict JSON path (default: <command>_slo.json)",
+        ),
+    },
+}
 
-#: Subcommands carrying the --slo/--sample-every monitoring flags.
-_MONITOR_COMMANDS = ("serve", "loadtest", "campaign", "robustness", "workload")
+#: Every shared flag by option string, for commands that take single
+#: flags of a group (``workload``) or one flag under another default.
+_FLAGS = {flag: spec for group in _GROUPS.values() for flag, spec in group.items()}
+
+#: The flag groups each command carries.  ``_build_parser`` adds them,
+#: and ``main`` opens a telemetry session when a command's telemetry or
+#: monitor flags are set.
+_COMMAND_GROUPS = {
+    "train": ("reward", "telemetry"),
+    "evaluate": ("reward",),
+    "campaign": ("sweep", "telemetry", "monitor"),
+    "robustness": ("sweep", "telemetry", "monitor"),
+    "serve": ("serving", "telemetry", "monitor"),
+    "loadtest": ("serving", "telemetry", "monitor"),
+    "workload": ("telemetry", "monitor"),
+}
 
 
-def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
-    """The ``--trace``/``--metrics`` flags shared by instrumented commands."""
-    parser.add_argument(
-        "--trace",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help=(
-            "enable telemetry and stream span events to PATH as JSONL "
-            "(inspect with `repro-hvac obs tail/export`)"
-        ),
-    )
-    parser.add_argument(
-        "--metrics",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help=(
-            "enable telemetry and write the final metrics snapshot to "
-            "PATH as JSON (inspect with `repro-hvac obs dump/export`)"
-        ),
-    )
-
-
-def _add_monitor_args(parser: argparse.ArgumentParser) -> None:
-    """The ``--slo``/``--sample-every`` monitoring flags.
-
-    Either flag enables telemetry (no ``--trace``/``--metrics`` needed)
-    and runs an in-session :class:`~repro.obs.timeseries.SnapshotSampler`
-    over the live registry; ``--slo`` additionally evaluates the sampled
-    series against a preset at session end and makes the command exit 1
-    on breach.
-    """
-    parser.add_argument(
-        "--slo",
-        type=str,
-        default=None,
-        metavar="NAME",
-        help=(
-            "evaluate the session against this SLO preset and exit "
-            "non-zero on breach (see `repro-hvac obs slo --list`)"
-        ),
-    )
-    parser.add_argument(
-        "--sample-every",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "capture a windowed telemetry sample every SECONDS "
-            "(default 1.0 when --slo is given)"
-        ),
-    )
-    parser.add_argument(
-        "--samples",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help=(
-            "sample-stream JSONL path (default: <command>_samples.jsonl; "
-            "inspect with `repro-hvac obs watch/slo/detect`)"
-        ),
-    )
-    parser.add_argument(
-        "--slo-out",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="SLO verdict JSON path (default: <command>_slo.json)",
-    )
-
-
-def _add_serving_args(parser: argparse.ArgumentParser) -> None:
-    """Flags shared by the ``serve`` and ``loadtest`` subcommands."""
-    parser.add_argument(
-        "--scenario",
-        type=str,
-        default="baseline-tou",
-        help="registered scenario the fleet is built from",
-    )
-    parser.add_argument(
-        "--fleet", type=int, default=16, help="number of building clients"
-    )
-    parser.add_argument(
-        "--steps", type=int, default=96, help="control ticks to serve"
-    )
-    parser.add_argument(
-        "--checkpoint", type=str, default=None, help="policy checkpoint JSON"
-    )
-    parser.add_argument(
-        "--run",
-        type=str,
-        default=None,
-        metavar="RUN_DIR",
-        help="load the policy from a train --store run directory",
-    )
-    parser.add_argument(
-        "--checkpoint-name",
-        type=str,
-        default="trainer",
-        metavar="NAME",
-        help="checkpoint name inside --run (default: trainer)",
-    )
-    parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=256,
-        help="micro-batcher flush size (requests per forward pass)",
-    )
-    parser.add_argument(
-        "--max-delay-ms",
-        type=float,
-        default=5.0,
-        help="oldest-request deadline before a partial batch flushes",
-    )
-    parser.add_argument(
-        "--deterministic",
-        action="store_true",
-        help=(
-            "replayable serving: ignore wall-clock deadlines so batch "
-            "composition (and every served action) is a pure function of "
-            "the request sequence"
-        ),
-    )
-    parser.add_argument("--seed", type=int, default=0, help="fleet build seed base")
-    parser.add_argument(
-        "--warmup",
-        type=int,
-        default=0,
-        metavar="TICKS",
-        help=(
-            "serve this many unmeasured ticks before the throughput/latency "
-            "window opens (fleet reset is always excluded from the window)"
-        ),
-    )
-    parser.add_argument(
-        "--store",
-        type=str,
-        default=None,
-        metavar="RUN_DIR",
-        help="persist the serving telemetry as a run directory",
-    )
-    # Resilience / chaos knobs (any of them arms the resilience ladder).
-    parser.add_argument(
-        "--chaos",
-        type=str,
-        default=None,
-        metavar="PROFILE",
-        help=(
-            "inject a registered serve-side chaos profile "
-            "(`serve --list-chaos` shows the catalog); implies the "
-            "resilience ladder so every tick still yields an action"
-        ),
-    )
-    parser.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=None,
-        metavar="SEED",
-        help="chaos RNG stream seed (default: --seed)",
-    )
-    parser.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help=(
-            "per-request deadline budget enforced at the flush; late "
-            "requests resolve as timeouts and walk the fallback chain"
-        ),
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "max attempts per route (first try included; default 3 once "
-            "the resilience ladder is armed)"
-        ),
-    )
-    parser.add_argument(
-        "--fallback",
-        type=str,
-        default=None,
-        metavar="CHAIN",
-        help=(
-            "comma-separated degraded-mode route chain tried when the "
-            "primary fails, e.g. dqn@1,baseline:thermostat"
-        ),
-    )
-    parser.add_argument(
-        "--max-inflight",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "admission bound: shed requests once this many are pending "
-            "(explicit rejection instead of unbounded queueing)"
-        ),
-    )
+def _flag(parser: argparse.ArgumentParser, flag: str, **overrides) -> None:
+    """Add the shared ``flag`` with this command's ``overrides``."""
+    parser.add_argument(flag, **{**_FLAGS[flag], **overrides})
 
 
 def _resilience_from_args(args: argparse.Namespace):
@@ -868,12 +799,12 @@ def _resilience_from_args(args: argparse.Namespace):
 
     chaos_profile = None
     chaos_seed = args.chaos_seed if args.chaos_seed is not None else args.seed
-    if getattr(args, "chaos", None):
+    if args.chaos:
         profile = get_chaos_profile(args.chaos)
         if not profile.is_clean:
             chaos_profile = profile
     armed = chaos_profile is not None or any(
-        getattr(args, flag, None) is not None
+        getattr(args, flag) is not None
         for flag in ("deadline_ms", "retries", "fallback", "max_inflight")
     )
     if not armed:
@@ -948,13 +879,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 ("comfort_weight", args.comfort_weight),
             ):
                 if key in stored and stored[key] != value:
-                    print(
-                        f"train: --store {args.store} was created with "
+                    raise ValueError(
+                        f"--store {args.store} was created with "
                         f"{key}={stored[key]}, but this run requests "
-                        f"{key}={value}; use a fresh run directory",
-                        file=sys.stderr,
+                        f"{key}={value}; use a fresh run directory"
                     )
-                    return 2
         elif store.manifest.config != config:
             # A reused directory whose first attempt died before saving a
             # checkpoint: record *this* invocation so future resumes
@@ -1040,17 +969,11 @@ def _load_agent(path: str):
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     if (args.checkpoint is None) == (args.baseline is None):
-        print("evaluate: pass exactly one of --checkpoint or --baseline",
-              file=sys.stderr)
-        return 2
+        raise ValueError("pass exactly one of --checkpoint or --baseline")
     _, eval_env = _make_envs(args.seed, args.comfort_weight, eval_days=args.days)
     if args.checkpoint:
         name = "drl_dqn"
-        try:
-            controller = _load_agent(args.checkpoint)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            print(f"evaluate: cannot load {args.checkpoint}: {exc}", file=sys.stderr)
-            return 2
+        controller = _load_agent(args.checkpoint)
     elif args.baseline == "thermostat":
         name = "thermostat"
         controller = ThermostatController(eval_env)
@@ -1128,27 +1051,22 @@ def _run_campaign_flags(args: argparse.Namespace, label: str, faults):
     """Run the campaign a ``campaign``/``robustness`` invocation
     describes and print its table.
 
-    Returns ``(result, store, monitor, slo_spec)``, or exit code 2 with
-    ``label: message`` on stderr when a flag is bad (before any cell
-    runs).
+    Returns ``(result, store, monitor, slo_spec)``.  A bad flag raises
+    before any cell runs.
     """
     from repro.sim import CampaignSpec, expand_campaign, list_scenarios, run_campaign
 
+    spec = CampaignSpec(
+        scenarios=_axis_flag(args.scenarios, list_scenarios),
+        controllers=_axis_flag(args.controllers),
+        seeds=tuple(range(args.seeds)),
+        n_episodes=args.episodes,
+        faults=faults,
+    )
     store = None
-    try:
-        spec = CampaignSpec(
-            scenarios=_axis_flag(args.scenarios, list_scenarios),
-            controllers=_axis_flag(args.controllers),
-            seeds=tuple(range(args.seeds)),
-            n_episodes=args.episodes,
-            faults=faults,
-        )
-        if args.resume:
-            store = _open_grid_store(args, spec, expand_campaign(spec), kind=label)
-        monitor, slo_spec = _open_monitor(args, label)
-    except (KeyError, ValueError, OSError) as exc:
-        print(f"{label}: {_error_message(exc)}", file=sys.stderr)
-        return 2
+    if args.resume:
+        store = _open_grid_store(args, spec, expand_campaign(spec), kind=label)
+    monitor, slo_spec = _open_monitor(args, label)
     result = run_campaign(
         spec, executor=args.executor, max_workers=args.workers, store=store
     )
@@ -1163,10 +1081,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         for name in list_scenarios():
             print(f"{name:20s} {get_scenario(name).description}")
         return 0
-    ran = _run_campaign_flags(args, "campaign", _axis_flag(args.faults))
-    if isinstance(ran, int):
-        return ran
-    result, store, monitor, slo_spec = ran
+    result, store, monitor, slo_spec = _run_campaign_flags(
+        args, "campaign", _axis_flag(args.faults)
+    )
     if store is not None:
         print(f"campaign artifacts stored in {args.resume}")
     if args.out:
@@ -1190,14 +1107,11 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
     faults = _axis_flag(args.faults, list_fault_profiles)
     faults = tuple(f for f in faults if f != "none")
     if not faults:
-        print("robustness: need at least one non-clean fault profile",
-              file=sys.stderr)
-        return 2
+        raise ValueError("need at least one non-clean fault profile")
     # The clean baseline always runs: degradation is measured, not assumed.
-    ran = _run_campaign_flags(args, "robustness", ("none",) + faults)
-    if isinstance(ran, int):
-        return ran
-    result, store, monitor, slo_spec = ran
+    result, store, monitor, slo_spec = _run_campaign_flags(
+        args, "robustness", ("none",) + faults
+    )
     summary = summarize_robustness(result.rows)
     print("\nclean-vs-faulted degradation (faulted minus clean):")
     print(render_robustness_table(summary))
@@ -1209,10 +1123,10 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
             f"(render with `repro-hvac report {args.resume}`)"
         )
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"rows": [r.as_dict() for r in result.rows],
-                       "summary": summary_dicts}, fh, indent=2)
-            fh.write("\n")
+        _write_json(
+            args.out,
+            {"rows": [r.as_dict() for r in result.rows], "summary": summary_dicts},
+        )
         print(f"robustness rows written to {args.out}")
     return _finish_monitor(args, "robustness", monitor, slo_spec)
 
@@ -1334,9 +1248,7 @@ def _serving_session(args: argparse.Namespace, *, policy_spec: Optional[str] = N
 
 
 def _monitor_requested(args: argparse.Namespace) -> bool:
-    return bool(
-        getattr(args, "slo", None) or getattr(args, "sample_every", None)
-    )
+    return bool(args.slo or args.sample_every)
 
 
 def _open_monitor(args: argparse.Namespace, label: str):
@@ -1413,14 +1325,18 @@ def _finish_monitor(args: argparse.Namespace, label: str, sampler, spec) -> int:
 
 
 def _error_message(exc: BaseException) -> str:
-    """Human-readable text for a caught serving-setup exception.
+    """Human-readable text for an exception that escaped a handler.
 
     ``OSError.args[0]`` is the bare errno (``str(exc)`` carries the
     path); ``KeyError.args[0]`` is the clean message (``str(exc)`` adds
-    quoting).
+    quoting).  A checkpoint that parses but is not a policy says so.
     """
+    from repro.serve.registry import CheckpointFormatError
+
     if isinstance(exc, OSError):
         return str(exc)
+    if isinstance(exc, CheckpointFormatError):
+        return f"cannot load checkpoint: {exc}"
     return str(exc.args[0]) if exc.args else str(exc)
 
 
@@ -1465,13 +1381,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             for line in profile.describe_models():
                 print(f"{'':20s}  - {line}")
         return 0
-    try:
-        monitor, slo_spec = _open_monitor(args, "serve")
-        make_gateway, label = _serving_session(args, policy_spec=args.policy)
-        gateway = make_gateway(_batcher_config(args), fold_telemetry=True)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"serve: {_error_message(exc)}", file=sys.stderr)
-        return 2
+    monitor, slo_spec = _open_monitor(args, "serve")
+    make_gateway, label = _serving_session(args, policy_spec=args.policy)
+    gateway = make_gateway(_batcher_config(args), fold_telemetry=True)
     print(
         f"serving {label} to {args.fleet} x {args.scenario} for "
         f"{args.steps} ticks (max batch {args.max_batch})"
@@ -1484,19 +1396,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
-    try:
-        monitor, slo_spec = _open_monitor(args, "loadtest")
-        make_gateway, label = _serving_session(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"loadtest: {_error_message(exc)}", file=sys.stderr)
-        return 2
+    monitor, slo_spec = _open_monitor(args, "loadtest")
+    make_gateway, label = _serving_session(args)
     if not 0.0 <= args.baseline_share <= 1.0:
-        print(
-            f"loadtest: --baseline-share must be in [0, 1], got "
-            f"{args.baseline_share}",
-            file=sys.stderr,
+        raise ValueError(
+            f"--baseline-share must be in [0, 1], got {args.baseline_share}"
         )
-        return 2
 
     # The tail of the fleet runs per-building thermostats, the rest the
     # learned policy — a heterogeneous load like a real deployment's.
@@ -1506,8 +1411,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         routes = ["dqn"] * (args.fleet - n_local) + [
             "baseline:thermostat"
         ] * n_local
-
-    gateways = {}
 
     def run_mode(max_batch: int, *, fold: bool = False):
         # The micro-batched (real) mode folds its ServeStats into the
@@ -1519,14 +1422,13 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             _batcher_config(args, max_batch=max_batch), routes,
             fold_telemetry=fold,
         )
-        gateways[max_batch] = gateway
-        return gateway.run(args.steps, warmup=args.warmup)
+        return gateway, gateway.run(args.steps, warmup=args.warmup)
 
     print(
         f"loadtest: {args.fleet} x {args.scenario}, {args.steps} ticks, "
         f"policy={label}, baseline share {args.baseline_share:.0%}"
     )
-    batched = run_mode(args.max_batch, fold=True)
+    gw, batched = run_mode(args.max_batch, fold=True)
     if monitor is not None:
         # The monitored window covers the batched (product) phase only;
         # the per-request twin below serves into a private registry.
@@ -1548,8 +1450,8 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         "warmup": args.warmup,
         "batched": batched.as_dict(),
     }
-    if args.chaos or args.fallback or args.deadline_ms is not None:
-        gw = gateways[args.max_batch]
+    if gw.resilience is not None:
+        # Written exactly when the flags armed the resilience ladder.
         record["chaos"] = {
             "profile": args.chaos or "none",
             "chaos_seed": (
@@ -1565,7 +1467,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             "expected_env_steps": args.fleet * args.steps,
         }
     if not args.skip_per_request:
-        per_request = run_mode(1)
+        _, per_request = run_mode(1)
         print("\n== per-request (one-request-one-forward) ==")
         print(per_request.render())
         record["per_request"] = per_request.as_dict()
@@ -1573,9 +1475,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         record["end_to_end_speedup"] = speedup
         print(f"\nend-to-end speedup (incl. simulation): {speedup:.1f}x")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.out, record)
         print(f"loadtest record written to {args.out}")
     if args.store:
         _store_serve_stats(args, record["batched"])
@@ -1611,141 +1511,130 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         run_suite_job,
     )
 
-    try:
-        if args.action == "list":
-            for name in list_workloads():
-                spec = get_workload(name)
-                print(f"{name:18s} [{spec.kind:8s}] {spec.description}")
-            return 0
+    if (args.chaos != "none" or args.chaos_seed is not None) and not (
+        args.action == "replay" and args.from_trace
+    ):
+        # A suite grid has no chaos axis: refuse rather than ignore.
+        raise ValueError("--chaos/--chaos-seed apply only to replay --from-trace")
 
-        if args.action == "describe":
-            if not args.name:
-                raise ValueError("workload describe requires a preset NAME")
-            spec = get_workload(args.name)
-            config = spec.as_config()
-            config["expected_events_per_client_day"] = spec.expected_events(
-                1
-            ) * 86_400.0 / spec.duration_s
-            print(json.dumps(config, indent=2, sort_keys=True))
-            return 0
+    if args.action == "list":
+        for name in list_workloads():
+            spec = get_workload(name)
+            print(f"{name:18s} [{spec.kind:8s}] {spec.description}")
+        return 0
 
-        if args.action == "generate":
-            names = list(_axis_flag(args.workloads, list_workloads))
-            if args.out and len(names) != 1:
-                raise ValueError(
-                    "--out writes a single trace file; pass exactly one "
-                    "--workloads preset with it"
-                )
-            store = None
-            if args.store:
-                from repro.store import ExperimentStore
+    if args.action == "describe":
+        if not args.name:
+            raise ValueError("workload describe requires a preset NAME")
+        spec = get_workload(args.name)
+        config = spec.as_config()
+        config["expected_events_per_client_day"] = spec.expected_events(
+            1
+        ) * 86_400.0 / spec.duration_s
+        print(json.dumps(config, indent=2, sort_keys=True))
+        return 0
 
-                store = ExperimentStore.open_or_create(
-                    args.store,
-                    kind="workload-suite",
-                    config={
-                        "workloads": names,
-                        "fleet": args.fleet,
-                        "seed": args.seed,
-                        "duration_s": args.duration_s,
-                    },
-                    command=args.argv,
-                )
-            for name in names:
-                trace = generate_trace(
-                    name,
-                    n_clients=args.fleet,
-                    seed=args.seed,
-                    duration_s=args.duration_s,
-                )
-                print(
-                    f"{name:18s} events={trace.n_events:6d} "
-                    f"requests={trace.n_requests:6d} "
-                    f"ticks={trace.n_ticks:4d} sha256={trace.sha256[:16]}"
-                )
-                if args.out:
-                    trace.save(args.out)
-                    print(f"trace written to {args.out}")
-                if store is not None:
-                    record_trace(store, trace)
-            if store is not None:
-                print(f"trace artifacts recorded in {args.store}")
-            return 0
+    if args.action == "generate":
+        names = list(_axis_flag(args.workloads, list_workloads))
+        if args.out and len(names) != 1:
+            raise ValueError(
+                "--out writes a single trace file; pass exactly one "
+                "--workloads preset with it"
+            )
+        store = None
+        if args.store:
+            from repro.store import ExperimentStore
 
-        # replay
-        monitor, slo_spec = _open_monitor(args, "workload")
-        if args.from_trace:
-            from repro.sim import get_scenario
-            from repro.workloads import SuiteJob
-
-            trace = WorkloadTrace.load(args.from_trace)
-            scenario = get_scenario(args.scenarios.split(",")[0])
-            controller = args.controllers.split(",")[0]
-            fault = args.faults.split(",")[0]
-            job = SuiteJob(
-                scenario=scenario,
-                controller=controller,
-                fault=fault,
-                workload=trace.spec,
-                fleet=trace.n_clients,
+            store = ExperimentStore.open_or_create(
+                args.store,
+                kind="workload-suite",
+                config={
+                    "workloads": names,
+                    "fleet": args.fleet,
+                    "seed": args.seed,
+                    "duration_s": args.duration_s,
+                },
+                command=args.argv,
+            )
+        for name in names:
+            trace = generate_trace(
+                name,
+                n_clients=args.fleet,
                 seed=args.seed,
-                max_batch=args.max_batch,
-                chaos=args.chaos,
-                chaos_seed=args.chaos_seed,
+                duration_s=args.duration_s,
             )
-            row = run_suite_job(job, trace)
-            chaos_note = f" / chaos={args.chaos}" if args.chaos != "none" else ""
             print(
-                f"replayed {trace.workload} ({trace.n_requests} requests "
-                f"over {trace.n_ticks} ticks) against {scenario.name} / "
-                f"{controller} / {fault}{chaos_note}"
-            )
-            print(f"fingerprint: {row.fingerprint}")
-            timing = row.timing
-            lat = timing.get("latency_ms", {})
-            print(
-                f"throughput: {timing.get('throughput_rps', 0.0):,.0f} req/s  "
-                f"p50={lat.get('p50', 0.0):.3f} ms  "
-                f"p99={lat.get('p99', 0.0):.3f} ms"
+                f"{name:18s} events={trace.n_events:6d} "
+                f"requests={trace.n_requests:6d} "
+                f"ticks={trace.n_ticks:4d} sha256={trace.sha256[:16]}"
             )
             if args.out:
-                with open(args.out, "w") as fh:
-                    json.dump(row.as_dict(), fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                print(f"replay summary written to {args.out}")
-            return _finish_monitor(args, "workload", monitor, slo_spec)
-
-        spec = _workload_suite_spec(args)
-        store = None
-        if args.resume:
-            store = _open_grid_store(
-                args, spec, expand_suite(spec), kind="workload-suite"
-            )
-        result = run_suite(spec, store=store)
-        print(result.render())
+                trace.save(args.out)
+                print(f"trace written to {args.out}")
+            if store is not None:
+                record_trace(store, trace)
         if store is not None:
-            print(
-                f"workload-suite artifacts stored in {args.resume} "
-                f"(render with `repro-hvac report {args.resume}`)"
-            )
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(
-                    [r.as_dict() for r in result.rows], fh, indent=2,
-                    sort_keys=True,
-                )
-                fh.write("\n")
-            print(f"suite rows written to {args.out}")
-        return _finish_monitor(args, "workload", monitor, slo_spec)
-    except BrokenPipeError:
-        # Reader closed early (e.g. ``workload list | head``).
-        import os
-
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"trace artifacts recorded in {args.store}")
         return 0
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"workload: {_error_message(exc)}", file=sys.stderr)
-        return 2
+
+    # replay
+    monitor, slo_spec = _open_monitor(args, "workload")
+    if args.from_trace:
+        from repro.sim import get_scenario
+        from repro.workloads import SuiteJob
+
+        trace = WorkloadTrace.load(args.from_trace)
+        scenario = get_scenario(args.scenarios.split(",")[0])
+        controller = args.controllers.split(",")[0]
+        fault = args.faults.split(",")[0]
+        job = SuiteJob(
+            scenario=scenario,
+            controller=controller,
+            fault=fault,
+            workload=trace.spec,
+            fleet=trace.n_clients,
+            seed=args.seed,
+            max_batch=args.max_batch,
+            chaos=args.chaos,
+            chaos_seed=args.chaos_seed,
+        )
+        row = run_suite_job(job, trace)
+        chaos_note = f" / chaos={args.chaos}" if args.chaos != "none" else ""
+        print(
+            f"replayed {trace.workload} ({trace.n_requests} requests "
+            f"over {trace.n_ticks} ticks) against {scenario.name} / "
+            f"{controller} / {fault}{chaos_note}"
+        )
+        print(f"fingerprint: {row.fingerprint}")
+        timing = row.timing
+        lat = timing.get("latency_ms", {})
+        print(
+            f"throughput: {timing.get('throughput_rps', 0.0):,.0f} req/s  "
+            f"p50={lat.get('p50', 0.0):.3f} ms  "
+            f"p99={lat.get('p99', 0.0):.3f} ms"
+        )
+        if args.out:
+            _write_json(args.out, row.as_dict())
+            print(f"replay summary written to {args.out}")
+        return _finish_monitor(args, "workload", monitor, slo_spec)
+
+    spec = _workload_suite_spec(args)
+    store = None
+    if args.resume:
+        store = _open_grid_store(
+            args, spec, expand_suite(spec), kind="workload-suite"
+        )
+    result = run_suite(spec, store=store)
+    print(result.render())
+    if store is not None:
+        print(
+            f"workload-suite artifacts stored in {args.resume} "
+            f"(render with `repro-hvac report {args.resume}`)"
+        )
+    if args.out:
+        _write_json(args.out, [r.as_dict() for r in result.rows])
+        print(f"suite rows written to {args.out}")
+    return _finish_monitor(args, "workload", monitor, slo_spec)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -1757,19 +1646,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
         render_workload_report,
     )
 
-    try:
-        store = ExperimentStore.open(args.run_dir)
-        if store.manifest.kind == "serve":
-            text = render_serve_report(store)
-        elif store.manifest.kind == "robustness":
-            text = render_robustness_report(store)
-        elif store.manifest.kind == "workload-suite":
-            text = render_workload_report(store)
-        else:
-            text = render_campaign_report(store)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"report: {exc}", file=sys.stderr)
-        return 2
+    store = ExperimentStore.open(args.run_dir)
+    if store.manifest.kind == "serve":
+        text = render_serve_report(store)
+    elif store.manifest.kind == "robustness":
+        text = render_robustness_report(store)
+    elif store.manifest.kind == "workload-suite":
+        text = render_workload_report(store)
+    else:
+        text = render_campaign_report(store)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -1785,84 +1670,74 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     def load_snapshot(path: str) -> dict:
         with open(path) as fh:
             snapshot = json.load(fh)
-        if not isinstance(snapshot.get("metrics"), dict):
+        if not isinstance(snapshot, dict) or not isinstance(
+            snapshot.get("metrics"), dict
+        ):
             raise ValueError(f"{path} is not a metrics snapshot (no 'metrics' key)")
         return snapshot
 
-    try:
-        if args.action == "dump":
-            if not args.metrics:
-                raise ValueError("obs dump requires --metrics FILE")
+    if args.action == "dump":
+        if not args.metrics:
+            raise ValueError("obs dump requires --metrics FILE")
+        snapshot = load_snapshot(args.metrics)
+        if args.format == "prometheus":
+            print(snapshot_to_prometheus(snapshot), end="")
+        else:
+            print(json.dumps(snapshot, indent=2, sort_keys=True))
+    elif args.action == "tail":
+        if not args.trace:
+            raise ValueError("obs tail requires --trace FILE")
+        events = load_jsonl_events(args.trace)
+        for e in events[-max(int(args.last), 0):]:
+            attrs = ""
+            if e.get("attrs"):
+                attrs = "  " + " ".join(
+                    f"{k}={v}" for k, v in sorted(e["attrs"].items())
+                )
+            print(
+                f"[{e['ts']:>12.6f}s +{e['dur'] * 1e3:>10.3f}ms] "
+                f"{e.get('cat', 'span')}:{e['name']}"
+                f" id={e['id']}"
+                + (f" parent={e['parent']}" if e.get("parent") else "")
+                + attrs
+            )
+        print(f"{len(events)} event(s) in {args.trace}")
+    elif args.action == "export":
+        if not args.out:
+            raise ValueError("obs export requires --out FILE")
+        if bool(args.trace) == bool(args.metrics):
+            raise ValueError(
+                "obs export takes exactly one input: --trace or --metrics"
+            )
+        if args.trace:
+            if args.format not in (None, "chrome"):
+                raise ValueError("a --trace input exports to --format chrome")
+            write_chrome_trace(load_jsonl_events(args.trace), args.out)
+            print(f"chrome trace written to {args.out}")
+        else:
             snapshot = load_snapshot(args.metrics)
-            if args.format == "prometheus":
-                print(snapshot_to_prometheus(snapshot), end="")
-            else:
-                print(json.dumps(snapshot, indent=2, sort_keys=True))
-        elif args.action == "tail":
-            if not args.trace:
-                raise ValueError("obs tail requires --trace FILE")
-            events = load_jsonl_events(args.trace)
-            for e in events[-max(int(args.last), 0):]:
-                attrs = ""
-                if e.get("attrs"):
-                    attrs = "  " + " ".join(
-                        f"{k}={v}" for k, v in sorted(e["attrs"].items())
-                    )
-                print(
-                    f"[{e['ts']:>12.6f}s +{e['dur'] * 1e3:>10.3f}ms] "
-                    f"{e.get('cat', 'span')}:{e['name']}"
-                    f" id={e['id']}"
-                    + (f" parent={e['parent']}" if e.get("parent") else "")
-                    + attrs
-                )
-            print(f"{len(events)} event(s) in {args.trace}")
-        elif args.action == "export":
-            if not args.out:
-                raise ValueError("obs export requires --out FILE")
-            if bool(args.trace) == bool(args.metrics):
+            if args.format not in (None, "prometheus"):
                 raise ValueError(
-                    "obs export takes exactly one input: --trace or --metrics"
+                    "a --metrics input exports to --format prometheus"
                 )
-            if args.trace:
-                if args.format not in (None, "chrome"):
-                    raise ValueError("a --trace input exports to --format chrome")
-                write_chrome_trace(load_jsonl_events(args.trace), args.out)
-                print(f"chrome trace written to {args.out}")
-            else:
-                snapshot = load_snapshot(args.metrics)
-                if args.format in (None, "prometheus"):
-                    from repro.obs import write_prometheus
+            from repro.obs import write_prometheus
 
-                    write_prometheus(snapshot, args.out)
-                    print(f"prometheus exposition written to {args.out}")
-                else:
-                    raise ValueError(
-                        "a --metrics input exports to --format prometheus"
-                    )
-        elif args.action == "watch":
-            return _obs_watch(args)
-        elif args.action == "slo":
-            return _obs_slo(args)
-        elif args.action == "detect":
-            return _obs_detect(args)
-        else:  # check
-            problems = _obs_check(args)
-            for problem in problems:
-                print(problem, file=sys.stderr)
-            if problems:
-                print(f"obs check: {len(problems)} problem(s)", file=sys.stderr)
-                return 1
-            print("obs check: OK")
-    except BrokenPipeError:
-        # Reader closed early (e.g. ``obs dump | head``); redirect stdout
-        # to devnull so the interpreter's exit-time flush stays quiet.
-        import os
-
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"obs: {_error_message(exc)}", file=sys.stderr)
-        return 2
+            write_prometheus(snapshot, args.out)
+            print(f"prometheus exposition written to {args.out}")
+    elif args.action == "watch":
+        return _obs_watch(args)
+    elif args.action == "slo":
+        return _obs_slo(args)
+    elif args.action == "detect":
+        return _obs_detect(args)
+    else:  # check
+        problems = _obs_check(args)
+        for problem in problems:
+            print(problem, file=sys.stderr)
+        if problems:
+            print(f"obs check: {len(problems)} problem(s)", file=sys.stderr)
+            return 1
+        print("obs check: OK")
     return 0
 
 
@@ -2046,9 +1921,7 @@ def _obs_detect(args: argparse.Namespace) -> int:
             f"{len(points)} point(s) of {series}.{args.field}"
         )
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, payload)
         print(f"detect report written to {args.out}")
     if found and args.fail_on_detect:
         return 1
@@ -2056,83 +1929,57 @@ def _obs_detect(args: argparse.Namespace) -> int:
 
 
 def _obs_check(args: argparse.Namespace) -> List[str]:
-    """Validate exported telemetry files; returns problem messages."""
-    from repro.obs import CATALOG, load_jsonl_events, prometheus_name
+    """Validate exported telemetry files; returns problem messages.
 
+    An input that cannot be read or parsed is a problem of that file,
+    not a bad invocation: ``obs check`` then exits 1, like any other
+    problem it finds.
+    """
+    from repro.obs import load_jsonl_events
+    from repro.obs.slo import check_verdict
+    from repro.obs.timeseries import check_samples, load_samples
+
+    def missing_keys(events, keys) -> List[str]:
+        problems = []
+        for i, e in enumerate(events):
+            missing = [k for k in keys if k not in e]
+            if missing:
+                problems.append(f"event {i} missing {missing}")
+        return problems
+
+    def chrome_trace(path: str) -> List[str]:
+        with open(path) as fh:
+            doc = json.load(fh)
+        events = doc.get("traceEvents") if isinstance(doc, dict) else None
+        if not isinstance(events, list):
+            return ["no traceEvents array"]
+        return missing_keys(events, ("name", "ph", "ts", "dur"))
+
+    def verdict(path: str) -> List[str]:
+        with open(path) as fh:
+            return check_verdict(json.load(fh))
+
+    checks = (
+        (args.chrome_trace, chrome_trace),
+        (
+            args.trace,
+            lambda path: missing_keys(
+                load_jsonl_events(path), ("name", "id", "ts", "dur")
+            ),
+        ),
+        (args.prometheus, _prometheus_problems),
+        (args.samples, lambda path: check_samples(load_samples(path))),
+        (args.verdict, verdict),
+    )
     problems: List[str] = []
-    checked = False
-    if args.chrome_trace:
-        checked = True
+    for path, check in checks:
+        if not path:
+            continue
         try:
-            with open(args.chrome_trace) as fh:
-                doc = json.load(fh)
-            events = doc.get("traceEvents")
-            if not isinstance(events, list):
-                problems.append(f"{args.chrome_trace}: no traceEvents array")
-            else:
-                for i, e in enumerate(events):
-                    missing = [k for k in ("name", "ph", "ts", "dur") if k not in e]
-                    if missing:
-                        problems.append(
-                            f"{args.chrome_trace}: event {i} missing {missing}"
-                        )
+            problems.extend(f"{path}: {problem}" for problem in check(path))
         except (OSError, json.JSONDecodeError) as exc:
-            problems.append(f"{args.chrome_trace}: {exc}")
-    if args.trace:
-        checked = True
-        try:
-            for i, e in enumerate(load_jsonl_events(args.trace)):
-                missing = [
-                    k for k in ("name", "id", "ts", "dur") if k not in e
-                ]
-                if missing:
-                    problems.append(f"{args.trace}: event {i} missing {missing}")
-        except (OSError, json.JSONDecodeError) as exc:
-            problems.append(f"{args.trace}: {exc}")
-    if args.prometheus:
-        checked = True
-        known = set()
-        for name, spec in CATALOG.items():
-            prom = prometheus_name(name)
-            if spec.type == "histogram":
-                known.update({f"{prom}_bucket", f"{prom}_sum", f"{prom}_count"})
-            else:
-                known.add(prom)
-        try:
-            with open(args.prometheus) as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    sample = line.split("{", 1)[0].split(" ", 1)[0]
-                    if sample not in known:
-                        problems.append(
-                            f"{args.prometheus}:{lineno}: sample {sample!r} "
-                            "is not in the metric catalog"
-                        )
-        except OSError as exc:
-            problems.append(f"{args.prometheus}: {exc}")
-    if args.samples:
-        checked = True
-        from repro.obs.timeseries import check_samples, load_samples
-
-        try:
-            for problem in check_samples(load_samples(args.samples)):
-                problems.append(f"{args.samples}: {problem}")
-        except (OSError, json.JSONDecodeError) as exc:
-            problems.append(f"{args.samples}: {exc}")
-    if args.verdict:
-        checked = True
-        from repro.obs.slo import check_verdict
-
-        try:
-            with open(args.verdict) as fh:
-                verdict = json.load(fh)
-            for problem in check_verdict(verdict):
-                problems.append(f"{args.verdict}: {problem}")
-        except (OSError, json.JSONDecodeError) as exc:
-            problems.append(f"{args.verdict}: {exc}")
-    if not checked:
+            problems.append(f"{path}: {exc}")
+    if not any(path for path, _ in checks):
         problems.append(
             "obs check needs at least one of --chrome-trace, --prometheus, "
             "--trace, --samples, --verdict"
@@ -2140,35 +1987,78 @@ def _obs_check(args: argparse.Namespace) -> List[str]:
     return problems
 
 
+def _prometheus_problems(path: str) -> List[str]:
+    """Exposition samples of ``path`` that are not in the metric catalog."""
+    from repro.obs import CATALOG, prometheus_name
+
+    known = set()
+    for name, spec in CATALOG.items():
+        prom = prometheus_name(name)
+        if spec.type == "histogram":
+            known.update({f"{prom}_bucket", f"{prom}_sum", f"{prom}_count"})
+        else:
+            known.add(prom)
+    problems = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            sample = line.split("{", 1)[0].split(" ", 1)[0]
+            if sample not in known:
+                problems.append(
+                    f"line {lineno}: sample {sample!r} is not in the metric "
+                    "catalog"
+                )
+    return problems
+
+
+def _write_json(path: str, payload) -> None:
+    """Write a JSON report: indented, keys sorted, newline-terminated."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+#: The handler of each subcommand.
+_HANDLERS = {
+    "train": _cmd_train,
+    "evaluate": _cmd_evaluate,
+    "experiment": _cmd_experiment,
+    "weather": _cmd_weather,
+    "campaign": _cmd_campaign,
+    "robustness": _cmd_robustness,
+    "serve": _cmd_serve,
+    "loadtest": _cmd_loadtest,
+    "workload": _cmd_workload,
+    "report": _cmd_report,
+    "obs": _cmd_obs,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.
+
+    One error policy for every command: an ``OSError``, ``ValueError``
+    (``json.JSONDecodeError`` included) or ``KeyError`` that escapes a
+    handler is a bad input, reported as ``<command>: <message>`` on
+    stderr with exit code 2.  A reader that closes stdout early
+    (``... | head``) ends the command quietly with exit code 0.
+    """
     args = _build_parser().parse_args(argv)
     # The invocation as given (run-manifest provenance) — argv when
     # called programmatically, the process command line otherwise.
     args.argv = ["repro-hvac"] + list(argv) if argv is not None else sys.argv
-    handlers = {
-        "train": _cmd_train,
-        "evaluate": _cmd_evaluate,
-        "experiment": _cmd_experiment,
-        "weather": _cmd_weather,
-        "campaign": _cmd_campaign,
-        "robustness": _cmd_robustness,
-        "serve": _cmd_serve,
-        "loadtest": _cmd_loadtest,
-        "workload": _cmd_workload,
-        "report": _cmd_report,
-        "obs": _cmd_obs,
-    }
-    handler = handlers[args.command]
-    wants_telemetry = args.command in _TELEMETRY_COMMANDS and (
-        args.trace or args.metrics
-    )
+    handler = _HANDLERS[args.command]
+    groups = _COMMAND_GROUPS.get(args.command, ())
     # The monitoring flags sample the live registry, so they imply an
     # enabled telemetry session even without --trace/--metrics.
-    wants_telemetry = wants_telemetry or (
-        args.command in _MONITOR_COMMANDS and _monitor_requested(args)
-    )
-    if wants_telemetry:
+    wants_telemetry = (
+        "telemetry" in groups and bool(args.trace or args.metrics)
+    ) or ("monitor" in groups and _monitor_requested(args))
+    try:
+        if not wants_telemetry:
+            return handler(args)
         # Enable telemetry for the whole invocation: spans stream to
         # --trace as the run progresses, and the final metrics snapshot
         # lands at --metrics even if the handler fails.
@@ -2176,7 +2066,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         with telemetry_session(trace_path=args.trace, metrics_path=args.metrics):
             return handler(args)
-    return handler(args)
+    except BrokenPipeError:
+        # Redirect stdout to devnull so the interpreter's exit-time flush
+        # stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"{args.command}: {_error_message(exc)}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

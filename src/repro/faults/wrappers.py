@@ -203,6 +203,10 @@ class FaultyVectorHVACEnv:
         if self.injector is None:
             return self.vec_env.step(actions)
         vec = self.vec_env
+        # Refuse before any fault hook runs, or a step that never happens
+        # would count fault activations.
+        if vec._needs_reset:
+            raise RuntimeError("call reset() before step()")
         commanded = vec._coerce_actions(actions)
         levels = self.injector.apply_action(np.flatnonzero(~vec._done), commanded)
         obs, rewards, dones, info = vec.step(levels)

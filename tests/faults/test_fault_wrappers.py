@@ -303,6 +303,29 @@ class TestWrapperValidation:
         with pytest.raises(RuntimeError, match="reset"):
             env.step([1])
         assert env.state_dict() == before
+    @pytest.mark.parametrize("scalar", [False, True], ids=["fleet", "scalar"])
+    def test_step_before_reset_activates_no_fault(self, scalar):
+        """A step refused for want of ``reset()`` runs no fault hook, so
+        the activation counter stays at zero."""
+        from repro.obs import telemetry_session
+
+        with telemetry_session() as tel:
+            if scalar:
+                env = FaultyHVACEnv(_SCENARIO.build(0), "degraded-capacity", seed=0)
+                action = [3]
+            else:
+                env = FaultyVectorHVACEnv(
+                    VectorHVACEnv(build_fleet(_SCENARIO, [0, 1]), autoreset=False),
+                    "degraded-capacity",
+                    seeds=[0, 1],
+                )
+                action = np.array([[3], [3]])
+            with pytest.raises(RuntimeError, match=r"call reset\(\) before step\(\)"):
+                env.step(action)
+        activations = tel.registry.get("faults.activations_total")
+        counts = [] if activations is None else activations.series()
+        assert sum(child.value for _, child in counts) == 0.0
+
     def test_vector_wrapper_needs_one_seed_per_env(self):
         vec = VectorHVACEnv(build_fleet(_SCENARIO, [0, 1]), autoreset=False)
         with pytest.raises(ValueError, match="seed"):

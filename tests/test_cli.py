@@ -433,6 +433,25 @@ class TestLoadtestCommand:
         assert record["measurement_window"] == "steady-state"
         assert record["warmup"] == 3
 
+    @pytest.mark.parametrize(
+        "flags, armed",
+        [(["--max-inflight", "2"], True), (["--chaos", "none"], False)],
+        ids=["max-inflight-arms", "clean-chaos-does-not"],
+    )
+    def test_chaos_block_written_exactly_when_ladder_armed(
+        self, tmp_path, capsys, flags, armed
+    ):
+        out = tmp_path / "bench.json"
+        assert main(
+            ["loadtest", "--fleet", "4", "--steps", "2", "--deterministic",
+             "--skip-per-request", "--out", str(out)] + flags
+        ) == 0
+        record = json.loads(out.read_text())
+        assert ("chaos" in record) == armed
+        if armed:
+            assert record["chaos"]["expected_env_steps"] == 4 * 2
+            assert record["chaos"]["max_inflight"] == 2
+
 
 class TestWorkloadCommand:
     _REPLAY = [
@@ -482,6 +501,18 @@ class TestWorkloadCommand:
         assert main(self._REPLAY) == 0
         out = capsys.readouterr().out
         assert "fingerprint" in out and "steady-poisson" in out
+
+    @pytest.mark.parametrize(
+        "flags", [["--chaos", "failing-plus-stalls"], ["--chaos-seed", "3"]],
+        ids=["chaos", "chaos-seed"],
+    )
+    def test_replay_grid_refuses_chaos(self, capsys, flags):
+        # A suite grid has no chaos axis; only --from-trace replays take it.
+        assert main(self._REPLAY + flags) == 2
+        assert (
+            "workload: --chaos/--chaos-seed apply only to replay --from-trace"
+            in capsys.readouterr().err
+        )
 
     def test_replay_from_trace_is_reproducible(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
@@ -821,6 +852,18 @@ class TestObsCommand:
         code = main(["obs", "check", "--chrome-trace", str(bad)])
         assert code == 1
         assert capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["dump", "--metrics"], 2), (["check", "--chrome-trace"], 1)],
+        ids=["dump", "check"],
+    )
+    def test_non_object_json_input_is_reported(self, tmp_path, capsys, argv, code):
+        # A JSON document that is not an object is a bad input, not a crash.
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        assert main(["obs"] + argv + [str(path)]) == code
+        assert str(path) in capsys.readouterr().err
 
     def test_export_requires_exactly_one_input(self, tmp_path, capsys):
         code = main(

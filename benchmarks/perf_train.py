@@ -13,9 +13,10 @@ transitions, buffer pre-filled):
    buffer on every step, so its cost grows with capacity while the
    tree's stays flat.
 2. **ingest rows/s** — replay writes via the per-row ``add()`` loop
-   (the pre-batch ``VectorTrainer`` execution model) vs. one
-   ``add_batch()`` sliced write per fleet pass, on a prioritized
-   buffer (the stamping of max-priority rides along).
+   (what the scalar ``Trainer`` does, one transition per step) vs. one
+   ``add_batch()`` sliced write per fleet pass (what ``VectorTrainer``
+   does), on a prioritized buffer (the stamping of max-priority rides
+   along).
 
 It records the result in ``benchmarks/results/BENCH_train.json`` **and
 the repo root** (where ``tools/perf_compare.py`` picks the committed

@@ -98,8 +98,9 @@ def _time_fleet(weather, n_envs: int, n_steps: int) -> float:
     return n_envs * n_steps / (time.perf_counter() - start)
 
 
-def run_fleet_scale(sizes, n_steps: int = 8) -> dict:
-    """SoA fleet-scaling sweep: steps/s per size plus the scaling ratio.
+def run_fleet_scale(sizes, n_steps: int = 8, repeats: int = 3) -> dict:
+    """SoA fleet-scaling sweep: best-of-``repeats`` steps/s per size plus
+    the scaling ratio.
 
     ``fleet_scaling_efficiency`` is (steps/s at the largest size) over
     (steps/s at the smallest): a machine-independent ratio that collapses
@@ -112,7 +113,9 @@ def run_fleet_scale(sizes, n_steps: int = 8) -> dict:
     )
     steps_per_s = {}
     for n in sizes:
-        steps_per_s[str(n)] = _time_fleet(weather, n, n_steps)
+        steps_per_s[str(n)] = max(
+            _time_fleet(weather, n, n_steps) for _ in range(repeats)
+        )
     smallest, largest = str(sizes[0]), str(sizes[-1])
     return {
         "fleet_sizes": list(sizes),
@@ -154,7 +157,7 @@ def run_benchmark(
         **machine_info(),
     }
     if fleet_sizes:
-        record.update(run_fleet_scale(sorted(fleet_sizes), fleet_steps))
+        record.update(run_fleet_scale(sorted(fleet_sizes), fleet_steps, repeats))
     return record
 
 

@@ -204,16 +204,18 @@ class Trainer:
         return {key: value / n_episodes for key, value in totals.items()}
 
 
+#: The batched agent hooks :class:`VectorTrainer` drives.
+_BATCH_PROTOCOL = ("select_actions", "store_batch", "learn_batch")
+
+
 class VectorTrainer:
     """Training loop that collects transitions from a vectorized fleet.
 
     Every control step performs **one** batched action selection (a
-    single Q-network forward pass when the agent exposes
-    ``select_actions``) and **one** batched environment step, then feeds
-    the N resulting transitions to the agent's replay/learning hooks —
-    as one bulk ``store_batch`` write plus the owed ``learn_batch``
-    updates when the agent implements the batched ingest protocol, or
-    row by row otherwise.
+    single Q-network forward pass through ``select_actions``) and
+    **one** batched environment step, then feeds the N resulting
+    transitions to the agent as one bulk ``store_batch`` write plus the
+    ``learn_batch`` updates they are owed.
     Episode series land in the logger under the same keys as
     :class:`Trainer`, one entry per *completed env-episode* (fleet order
     interleaved); ``config.n_episodes`` counts those completions.
@@ -225,8 +227,9 @@ class VectorTrainer:
         ``autoreset=True`` and a homogeneous fleet (one observation
         layout and action set, so a single network serves every env).
     agent:
-        The learning agent; per-row ``select_action`` is used as a
-        fallback when no batched ``select_actions`` is available.
+        The learning agent.  It must expose the batched protocol:
+        ``select_actions``, ``store_batch`` and ``learn_batch`` (both DQN
+        agents do).
     """
 
     def __init__(
@@ -237,8 +240,14 @@ class VectorTrainer:
         config: Optional[TrainerConfig] = None,
         logger: Optional[RunLogger] = None,
         profiler: Optional[PhaseTimer] = None,
-        batched_ingest: Optional[bool] = None,
     ) -> None:
+        missing = [name for name in _BATCH_PROTOCOL if not hasattr(agent, name)]
+        if missing:
+            raise ValueError(
+                f"VectorTrainer requires an agent exposing "
+                f"{', '.join(_BATCH_PROTOCOL)}; {type(agent).__name__} lacks "
+                f"{', '.join(missing)}"
+            )
         if not getattr(vec_env, "autoreset", False):
             raise ValueError("VectorTrainer requires a vector env with autoreset=True")
         if not vec_env.homogeneous:
@@ -266,37 +275,6 @@ class VectorTrainer:
                 f"below the fleet's natural episode length ({max_episode_steps}); "
                 "per-episode truncation is not supported in vectorized collection"
             )
-        if hasattr(self.agent, "select_actions"):
-            self._fallback_policy = None
-        else:
-            # Reuse the one batched-protocol adapter instead of re-rolling it.
-            from repro.eval.vector_runner import PerEnvPolicy
-
-            self._fallback_policy = PerEnvPolicy(
-                [self.agent] * vec_env.n_envs, vec_env.obs_dims
-            )
-        # Agents exposing the batched ingest protocol (store_batch +
-        # learn_batch) get the fast path: the whole fleet's transitions
-        # land in the replay buffer as one sliced write per pass, and the
-        # owed gradient steps run afterwards at the per-row cadence.
-        # Everyone else keeps the row-by-row store/learn interleave.
-        # ``batched_ingest=False`` pins the per-row path explicitly —
-        # the ingest order changes which buffer states each gradient
-        # step samples from, so a run checkpointed under the per-row
-        # loop must keep it to continue bit-exactly.
-        self._supports_batch_ingest = hasattr(
-            self.agent, "store_batch"
-        ) and hasattr(self.agent, "learn_batch")
-        self._ingest_pinned = batched_ingest is not None
-        if batched_ingest is None:
-            self._batched_ingest = self._supports_batch_ingest
-        elif batched_ingest and not self._supports_batch_ingest:
-            raise ValueError(
-                "batched_ingest=True requires an agent exposing "
-                "store_batch and learn_batch"
-            )
-        else:
-            self._batched_ingest = bool(batched_ingest)
         # Collection-loop state lives on the instance so training can stop
         # at a fleet-pass boundary, checkpoint, and continue (train() picks
         # up exactly where the counters point).
@@ -316,11 +294,6 @@ class VectorTrainer:
         self._ep_energy = np.zeros(n)
         self._ep_violation = np.zeros(n)
 
-    def _select_actions(self, obs, *, explore: bool):
-        if self._fallback_policy is None:
-            return np.asarray(self.agent.select_actions(obs, explore=explore))
-        return np.stack(self._fallback_policy.select_actions(obs, explore=explore))
-
     def train(self, *, until: Optional[int] = None) -> RunLogger:
         """Run until ``config.n_episodes`` env-episodes complete.
 
@@ -335,7 +308,6 @@ class VectorTrainer:
             target = min(int(until), target)
         env = self.vec_env
         n = env.n_envs
-        n_zones = int(env.n_zones[0])
         if self._obs is None:
             obs = env.reset()
             # The shared agent's begin_episode hook fires at every
@@ -365,66 +337,38 @@ class VectorTrainer:
             and self._fleet_steps < max_fleet_steps
         ):
             t0 = timer.start() if timer else 0.0
-            actions = self._select_actions(obs, explore=True)
+            actions = np.asarray(self.agent.select_actions(obs, explore=True))
             if timer:
                 timer.stop("action_select", t0, calls=n)
                 t0 = timer.start()
             next_obs, rewards, dones, info = env.step(actions)
             if timer:
                 timer.stop("env_step", t0, calls=n)
-            if self._batched_ingest:
-                # Bootstrap from the terminal observation, not the
-                # autoreset successor episode's first observation.
-                if info.terminal_obs is not None:
-                    boot_next = np.where(
-                        dones[:, None], info.terminal_obs, next_obs
-                    )
-                else:
-                    boot_next = next_obs
-                t0 = timer.start() if timer else 0.0
-                stored = self.agent.store_batch(
-                    obs,
-                    actions,
-                    rewards,
-                    boot_next,
-                    dones,
-                    infos={"reward_per_zone": info.reward_per_zone[:, :n_zones]},
-                )
-                if timer:
-                    timer.stop("replay_ingest", t0, calls=n)
-                    t0 = timer.start()
-                losses = self.agent.learn_batch(stored)
-                if timer:
-                    timer.stop("learn", t0, calls=n)
-                if self._tel_enabled and losses:
-                    self._c_learn_steps.inc(len(losses))
-                for loss in losses:
-                    self.logger.log("loss", loss)
+            # Bootstrap from the terminal observation, not the autoreset
+            # successor episode's first observation.
+            if info.terminal_obs is not None:
+                boot_next = np.where(dones[:, None], info.terminal_obs, next_obs)
             else:
-                for k in range(n):
-                    if dones[k] and info.terminal_obs is not None:
-                        next_k = info.terminal_obs[k]
-                    else:
-                        next_k = next_obs[k]
-                    t0 = timer.start() if timer else 0.0
-                    self.agent.store(
-                        obs[k],
-                        actions[k],
-                        float(rewards[k]),
-                        next_k,
-                        bool(dones[k]),
-                        info={"reward_per_zone": info.reward_per_zone[k, :n_zones]},
-                    )
-                    if timer:
-                        timer.stop("replay_ingest", t0)
-                        t0 = timer.start()
-                    loss = self.agent.learn()
-                    if timer:
-                        timer.stop("learn", t0)
-                    if loss is not None:
-                        self.logger.log("loss", loss)
-                        if self._tel_enabled:
-                            self._c_learn_steps.inc()
+                boot_next = next_obs
+            t0 = timer.start() if timer else 0.0
+            stored = self.agent.store_batch(
+                obs,
+                actions,
+                rewards,
+                boot_next,
+                dones,
+                infos={"reward_per_zone": info.reward_per_zone[:, :n_zones]},
+            )
+            if timer:
+                timer.stop("replay_ingest", t0, calls=n)
+                t0 = timer.start()
+            losses = self.agent.learn_batch(stored)
+            if timer:
+                timer.stop("learn", t0, calls=n)
+            if self._tel_enabled and losses:
+                self._c_learn_steps.inc(len(losses))
+            for loss in losses:
+                self.logger.log("loss", loss)
             if self._tel_enabled:
                 self._c_env_steps.inc(n)
             self._ep_return += rewards
@@ -473,9 +417,8 @@ class VectorTrainer:
         return {
             "kind": "vector_trainer",
             "episodes_done": self.episodes_done,
-            # The ingest mode shapes which buffer states each gradient
-            # step samples, so it is part of the resume contract.
-            "batched_ingest": self._batched_ingest,
+            # Format marker: the run was collected with batched ingest.
+            "batched_ingest": True,
             "fleet_steps": self._fleet_steps,
             "obs": None if self._obs is None else encode_array(self._obs),
             "ep_return": self._ep_return.tolist(),
@@ -496,6 +439,16 @@ class VectorTrainer:
             raise ValueError(
                 f"not a vector-trainer state (kind={state.get('kind')!r})"
             )
+        if state.get("batched_ingest") is not True:
+            # The per-row store/learn loop wrote it: batched ingest feeds
+            # the gradient steps other buffer states, so the run cannot
+            # continue bit-exactly.
+            raise ValueError(
+                "checkpoint was collected by the per-row ingest loop "
+                f"(batched_ingest={state.get('batched_ingest')!r}), which "
+                "VectorTrainer no longer runs; its agent still loads for "
+                "serving through repro.serve.registry.agent_from_checkpoint"
+            )
         from repro.nn.serialization import decode_array
 
         n = self.vec_env.n_envs
@@ -505,25 +458,6 @@ class VectorTrainer:
                     f"state {name} has {len(state[name])} entries for "
                     f"{n} envs"
                 )
-        # Continue the run under the ingest mode that produced it: a
-        # checkpoint predating batched ingest (no key) came from the
-        # per-row loop.  An explicit constructor pin that disagrees is
-        # an error rather than a silent trajectory change.
-        recorded_ingest = bool(state.get("batched_ingest", False))
-        if recorded_ingest and not self._supports_batch_ingest:
-            raise ValueError(
-                "checkpoint was collected with batched ingest, but this "
-                "agent exposes no store_batch/learn_batch"
-            )
-        if self._ingest_pinned and self._batched_ingest != recorded_ingest:
-            raise ValueError(
-                f"checkpoint was collected with batched_ingest="
-                f"{recorded_ingest}, but this trainer pins "
-                f"batched_ingest={self._batched_ingest}; construct with "
-                f"batched_ingest={recorded_ingest} (or leave it unset) "
-                f"to continue the run"
-            )
-        self._batched_ingest = recorded_ingest
         self.episodes_done = int(state["episodes_done"])
         self._fleet_steps = int(state["fleet_steps"])
         self._obs = None if state["obs"] is None else decode_array(state["obs"])

@@ -15,9 +15,9 @@ all conductances and heat inputs are 0, and their propagator rows are 0,
 so padded temperatures stay identically 0 forever.
 
 Fleet state is stored structure-of-arrays (columnar ``capacitance``,
-``ua_ambient``).  The update itself is
-:func:`repro.env.kernel.advance`, the control-step kernel's RC advance
-shared by every stepper, so the repo has one RC update.
+``ua_ambient``).  The fleet advances by handing these columns and
+:meth:`BatchRCNetwork._propagators` to :func:`repro.env.kernel.advance`,
+the control-step kernel's RC advance, so the repo has one RC update.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.building.thermal import RCNetwork
-from repro.env.kernel import advance, require_exact_propagator
-from repro.utils.validation import check_positive
+from repro.env.kernel import require_exact_propagator
 
 
 class BatchRCNetwork:
-    """N independent RC networks stepped as stacked arrays.
+    """N independent RC networks as stacked arrays.
 
     Parameters
     ----------
@@ -84,48 +83,6 @@ class BatchRCNetwork:
             self._last_dt = key
             self._last_props = (decay, gain)
         return self._last_props  # type: ignore[return-value]
-
-    # ---------------------------------------------------------------- stepping
-    def step(
-        self,
-        temps: np.ndarray,
-        temp_out: np.ndarray,
-        heat_w: np.ndarray,
-        dt_seconds: float,
-    ) -> np.ndarray:
-        """Advance all N networks one control step.
-
-        Parameters
-        ----------
-        temps:
-            Zone temperatures, shape ``(n_envs, max_zones)`` (padded
-            entries are ignored and returned as 0).
-        temp_out:
-            Per-network ambient temperature, shape ``(n_envs,)``.
-        heat_w:
-            Per-zone heat input (solar + internal + HVAC), shape
-            ``(n_envs, max_zones)``; padded entries must be 0.
-        dt_seconds:
-            Step length (inputs zero-order held, as in the scalar step).
-        """
-        check_positive("dt_seconds", dt_seconds)
-        temps = np.asarray(temps, dtype=np.float64)
-        temp_out = np.asarray(temp_out, dtype=np.float64)
-        heat_w = np.asarray(heat_w, dtype=np.float64)
-        shape = (self.n_envs, self.max_zones)
-        if temps.shape != shape or heat_w.shape != shape:
-            raise ValueError(
-                f"temps and heat_w must have shape {shape}, "
-                f"got {temps.shape} and {heat_w.shape}"
-            )
-        if temp_out.shape != (self.n_envs,):
-            raise ValueError(
-                f"temp_out must have shape ({self.n_envs},), got {temp_out.shape}"
-            )
-        decay, gain = self._propagators(dt_seconds)
-        return advance(
-            decay, gain, temps, temp_out, heat_w, self.capacitance, self.ua_ambient
-        )
 
     def __repr__(self) -> str:
         return (

@@ -2,11 +2,12 @@
 
 A golden record is a SHA-256 digest over the byte-exact trajectory a
 scenario produces under a fixed seed and a fixed action sequence —
-observations, rewards, done flags, zone temperatures, and per-step cost,
-for both the scalar :class:`~repro.env.hvac_env.HVACEnv` and the batched
-:class:`~repro.sim.vector_env.VectorHVACEnv`.  The two step through one
-control-step kernel, so their trajectories are byte-identical; the two
-digests differ only in the order they hash steps in.  The committed fixtures
+observations, rewards, done flags, zone temperatures, and per-step cost.
+The batched :class:`~repro.sim.vector_env.VectorHVACEnv` and ``n_envs``
+scalar :class:`~repro.env.hvac_env.HVACEnv` stepped in lockstep go
+through one control-step kernel, and both rollouts hash each step's
+arrays stacked in fleet order, so they must produce the *same* digest:
+one record per scenario pins both.  The committed fixtures
 (``tests/golden/trajectories.json``) are checked in tier-1, so *any*
 silent drift in the dynamics, the observation pipeline, the tariffs, or
 the RNG plumbing fails loudly with the scenario name attached.
@@ -66,43 +67,55 @@ def _update(digest: "hashlib._Hash", *arrays: np.ndarray) -> None:
         digest.update(np.ascontiguousarray(array).tobytes())
 
 
+def _update_step(digest, obs, rewards, dones, temps_c, cost_usd) -> None:
+    """Hash one step's ``(n_envs, ...)`` arrays in the fixed order."""
+    _update(
+        digest,
+        np.asarray(obs, dtype=np.float64),
+        np.asarray(rewards, dtype=np.float64),
+        np.asarray(dones, dtype=np.uint8),
+        np.asarray(temps_c, dtype=np.float64),
+        np.asarray(cost_usd, dtype=np.float64),
+    )
+
+
 def golden_scalar_record(
     scenario_name: str,
     n_envs: int = GOLDEN_N_ENVS,
     n_steps: int = GOLDEN_N_STEPS,
     actions: Optional[List[np.ndarray]] = None,
 ) -> Dict[str, object]:
-    """Digest + probes of ``n_envs`` scalar rollouts of a scenario."""
+    """Digest + probes of ``n_envs`` scalar envs stepped in lockstep.
+
+    Each step's per-env results are stacked in fleet order before
+    hashing, so the digest must equal :func:`golden_vector_record`'s.
+    """
     scenario = get_scenario(scenario_name)
     if actions is None:
         actions = golden_actions(scenario_name, n_envs, n_steps)
+    envs = [scenario.build(GOLDEN_ENV_SEED + k) for k in range(n_envs)]
     digest = hashlib.sha256()
-    final_temps: List[List[float]] = []
-    total_rewards: List[float] = []
-    for k in range(n_envs):
-        env = scenario.build(GOLDEN_ENV_SEED + k)
-        obs = env.reset()
-        _update(digest, obs.astype(np.float64))
-        total = 0.0
-        for t in range(n_steps):
-            obs, reward, done, info = env.step(actions[k][t])
-            _update(
-                digest,
-                obs.astype(np.float64),
-                np.float64(reward),
-                np.uint8(done),
-                np.asarray(info["temps_c"], dtype=np.float64),
-                np.float64(info["cost_usd"]),
-            )
-            total += reward
-            if done:
-                break
-        final_temps.append([float(v) for v in env.zone_temps_c])
-        total_rewards.append(float(total))
+    _update(digest, np.stack([env.reset() for env in envs]).astype(np.float64))
+    totals = np.zeros(n_envs)
+    for t in range(n_steps):
+        obs, rewards, dones, infos = zip(
+            *(env.step(actions[k][t]) for k, env in enumerate(envs))
+        )
+        _update_step(
+            digest,
+            np.stack(obs),
+            rewards,
+            dones,
+            np.stack([info["temps_c"] for info in infos]),
+            [info["cost_usd"] for info in infos],
+        )
+        totals += rewards
+        if all(dones):
+            break
     return {
         "sha256": digest.hexdigest(),
-        "final_temps_c": final_temps,
-        "total_reward": total_rewards,
+        "final_temps_c": [[float(v) for v in env.zone_temps_c] for env in envs],
+        "total_reward": [float(v) for v in totals],
     }
 
 
@@ -119,20 +132,11 @@ def golden_vector_record(
     seeds = [GOLDEN_ENV_SEED + k for k in range(n_envs)]
     vec = VectorHVACEnv(build_fleet(scenario, seeds), autoreset=False)
     digest = hashlib.sha256()
-    obs = vec.reset()
-    _update(digest, obs.astype(np.float64))
+    _update(digest, vec.reset().astype(np.float64))
     totals = np.zeros(n_envs)
     for t in range(n_steps):
-        step_actions = [actions[k][t] for k in range(n_envs)]
-        obs, rewards, dones, info = vec.step(step_actions)
-        _update(
-            digest,
-            obs.astype(np.float64),
-            rewards.astype(np.float64),
-            dones.astype(np.uint8),
-            info.temps_c.astype(np.float64),
-            info.cost_usd.astype(np.float64),
-        )
+        obs, rewards, dones, info = vec.step([actions[k][t] for k in range(n_envs)])
+        _update_step(digest, obs, rewards, dones, info.temps_c, info.cost_usd)
         totals += rewards
         if np.all(vec.dones):
             break
@@ -143,15 +147,19 @@ def golden_vector_record(
     }
 
 
+#: The two rollouts one fixture record pins.
+GOLDEN_ROLLOUTS = {"scalar": golden_scalar_record, "vector": golden_vector_record}
+
+
 def compute_golden_records(
     names: Optional[Sequence[str]] = None,
-) -> Dict[str, Dict[str, object]]:
-    """Records for every (or the given) registered scenario preset."""
-    records: Dict[str, Dict[str, object]] = {}
+) -> Dict[str, Dict[str, Dict[str, object]]]:
+    """Both rollouts' records for every (or the given) scenario preset."""
+    records: Dict[str, Dict[str, Dict[str, object]]] = {}
     for name in names if names is not None else list_scenarios():
         actions = golden_actions(name)  # once per scenario, shared by both
         records[name] = {
-            "scalar": golden_scalar_record(name, actions=actions),
-            "vector": golden_vector_record(name, actions=actions),
+            kind: rollout(name, actions=actions)
+            for kind, rollout in GOLDEN_ROLLOUTS.items()
         }
     return records

@@ -128,3 +128,60 @@ class TestLearning:
             agent.learn()
         greedy = agent.select_action(obs, explore=False)
         assert np.array_equal(greedy, best)
+
+
+class TestBatchedIngest:
+    """store_batch must leave the buffer a row-by-row store loop leaves."""
+
+    def _rows(self, n, zones=3, seed=0):
+        rng = np.random.default_rng(seed)
+        return (
+            rng.normal(size=(n, 6)),
+            rng.integers(0, 4, size=(n, zones)),
+            rng.normal(size=n),
+            rng.normal(size=(n, 6)),
+            rng.random(n) < 0.1,
+        )
+
+    def _assert_same_buffer(self, batched, sequential):
+        bb, sb = batched.buffer, sequential.buffer
+        assert batched.total_steps == sequential.total_steps
+        assert bb._cursor == sb._cursor and len(bb) == len(sb)
+        for attr in ("_obs", "_actions", "_rewards", "_next_obs", "_dones"):
+            assert getattr(bb, attr).tobytes() == getattr(sb, attr).tobytes(), attr
+
+    def test_store_batch_routes_reward_per_zone(self):
+        rows = self._rows(12)
+        per_zone = np.random.default_rng(1).normal(size=(12, 3))
+        batched, sequential = make_agent(), make_agent()
+        assert batched.store_batch(*rows, infos={"reward_per_zone": per_zone}) == 12
+        for i in range(12):
+            sequential.store(
+                rows[0][i], rows[1][i], float(rows[2][i]), rows[3][i],
+                bool(rows[4][i]), info={"reward_per_zone": per_zone[i]},
+            )
+        self._assert_same_buffer(batched, sequential)
+        assert np.array_equal(batched.buffer._rewards[:12], per_zone)
+
+    def test_store_batch_shared_reward_fallback(self):
+        rows = self._rows(12)
+        batched, sequential = make_agent(), make_agent()
+        batched.store_batch(*rows)
+        for i in range(12):
+            sequential.store(
+                rows[0][i], rows[1][i], float(rows[2][i]), rows[3][i],
+                bool(rows[4][i]),
+            )
+        self._assert_same_buffer(batched, sequential)
+        # Every head sees the global reward.
+        assert np.array_equal(
+            batched.buffer._rewards[:12], np.repeat(rows[2][:, None], 3, axis=1)
+        )
+
+    def test_store_batch_refuses_wrong_shape_reward_per_zone(self):
+        agent = make_agent()
+        with pytest.raises(ValueError, match=r"reward_per_zone must have shape \(12, 3\)"):
+            agent.store_batch(
+                *self._rows(12), infos={"reward_per_zone": np.zeros((12, 2))}
+            )
+        assert agent.total_steps == 0 and len(agent.buffer) == 0

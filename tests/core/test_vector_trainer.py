@@ -61,15 +61,16 @@ class TestVectorTrainer:
                 config=TrainerConfig(n_episodes=1, max_steps_per_episode=50),
             )
 
-    def test_per_env_fallback_for_unbatched_agents(self, summer_weather):
+    def test_refuses_agent_without_batched_protocol(self, summer_weather):
         from repro.baselines import RandomController
 
         vec = VectorHVACEnv([_make_env(summer_weather, s) for s in range(2)])
         agent = RandomController(vec.envs[0].action_space, rng=0)
-        log = VectorTrainer(
-            vec, agent, config=TrainerConfig(n_episodes=2)
-        ).train()
-        assert len(log.series("episode_return")) == 2
+        with pytest.raises(
+            ValueError, match="RandomController lacks select_actions, "
+            "store_batch, learn_batch"
+        ):
+            VectorTrainer(vec, agent, config=TrainerConfig(n_episodes=2))
 
     def test_rejects_eval_every(self, summer_weather):
         vec = VectorHVACEnv([_make_env(summer_weather, 0)])
@@ -125,92 +126,6 @@ class TestVectorTrainer:
         assert np.isfinite(vec_returns).all()
         assert abs(np.mean(vec_returns) - np.mean(scalar_returns)) < 50.0
 
-
-class TestBatchedIngest:
-    """The store_batch fast path must store exactly what the per-row
-    loop stored."""
-
-    def _trainers(self, weather, agent_fn, n_envs=3, episodes=3):
-        def build():
-            vec = VectorHVACEnv([_make_env(weather, s) for s in range(n_envs)])
-            agent = agent_fn(vec.envs[0])
-            return vec, agent
-
-        fast = VectorTrainer(
-            *build(), config=TrainerConfig(n_episodes=episodes)
-        )
-        slow = VectorTrainer(
-            *build(),
-            config=TrainerConfig(n_episodes=episodes),
-            batched_ingest=False,  # pin the legacy per-row loop
-        )
-        assert fast._batched_ingest and not slow._batched_ingest
-        return fast, slow
-
-    def test_dqn_buffer_identical_to_per_row_loop(self, summer_weather):
-        # learn_start beyond the run so no updates perturb the policy:
-        # the two ingest paths must then fill bit-identical buffers.
-        agent_fn = lambda env: DQNAgent(
-            env.obs_dim,
-            env.action_space,
-            config=DQNConfig(hidden=(8,), batch_size=8, learn_start=10_000),
-            rng=0,
-        )
-        fast, slow = self._trainers(summer_weather, agent_fn)
-        fast.train()
-        slow.train()
-        fb, sb = fast.agent.buffer, slow.agent.buffer
-        assert fast.agent.total_steps == slow.agent.total_steps
-        assert fb._cursor == sb._cursor and len(fb) == len(sb)
-        for attr in ("_obs", "_actions", "_rewards", "_next_obs", "_dones"):
-            assert np.array_equal(getattr(fb, attr), getattr(sb, attr)), attr
-
-    def test_factored_agent_routes_reward_per_zone(self, summer_weather):
-        from repro.building import four_zone_office
-        from repro.core import FactoredDQNAgent
-
-        def make_four_zone(seed):
-            from repro.env import HVACEnv, HVACEnvConfig
-
-            return HVACEnv(
-                four_zone_office(),
-                summer_weather,
-                config=HVACEnvConfig(episode_days=1.0),
-                rng=seed,
-            )
-
-        def build():
-            vec = VectorHVACEnv([make_four_zone(s) for s in range(2)])
-            agent = FactoredDQNAgent(
-                vec.envs[0].obs_dim,
-                vec.envs[0].action_space,
-                config=DQNConfig(hidden=(8,), batch_size=8, learn_start=10_000),
-                rng=0,
-            )
-            return vec, agent
-
-        fast = VectorTrainer(*build(), config=TrainerConfig(n_episodes=2))
-        slow = VectorTrainer(
-            *build(), config=TrainerConfig(n_episodes=2), batched_ingest=False
-        )
-        fast.train()
-        slow.train()
-        # Per-zone rewards (reward_dim=4) must match the per-row path's,
-        # proving infos routed the decomposition, not the scalar fallback.
-        assert np.array_equal(fast.agent.buffer._rewards, slow.agent.buffer._rewards)
-        assert fast.agent.buffer._rewards.shape[1] == 4
-
-    def test_learning_run_reaches_same_episode_count(self, summer_weather):
-        agent_fn = lambda env: _tiny_agent(env)
-        fast, slow = self._trainers(summer_weather, agent_fn, episodes=4)
-        log_fast = fast.train()
-        log_slow = slow.train()
-        assert len(log_fast.series("episode_return")) == 4
-        assert len(log_slow.series("episode_return")) == 4
-        # Both paths learn; losses are logged in both.
-        assert len(log_fast.series("loss")) > 0
-        assert len(log_slow.series("loss")) > 0
-
     def test_profiler_covers_vector_phases(self, summer_weather):
         from repro.utils.profiling import PhaseTimer
 
@@ -228,55 +143,89 @@ class TestBatchedIngest:
         # calls are charged per env-step, not per fleet pass.
         assert timer.calls("env_step") == 2 * 96
 
-    def test_batched_ingest_true_requires_protocol(self, summer_weather):
-        from repro.baselines import RandomController
+    def test_routes_reward_per_zone_to_factored_agent(self, summer_weather):
+        from repro.building import four_zone_office
+        from repro.core import FactoredDQNAgent
 
-        vec = VectorHVACEnv([_make_env(summer_weather, 0)])
-        agent = RandomController(vec.envs[0].action_space, rng=0)
-        with pytest.raises(ValueError, match="store_batch"):
-            VectorTrainer(
-                vec, agent, config=TrainerConfig(n_episodes=1),
-                batched_ingest=True,
+        def fleet():
+            return VectorHVACEnv(
+                [
+                    HVACEnv(
+                        four_zone_office(),
+                        summer_weather,
+                        config=HVACEnvConfig(episode_days=1.0),
+                        rng=seed,
+                    )
+                    for seed in range(2)
+                ]
             )
 
-    def test_checkpoint_records_and_restores_ingest_mode(self, summer_weather):
-        def build(**kw):
-            vec = VectorHVACEnv([_make_env(summer_weather, s) for s in range(2)])
-            return VectorTrainer(
-                vec, _tiny_agent(vec.envs[0]),
-                config=TrainerConfig(n_episodes=2), **kw,
-            )
+        vec = fleet()
+        # learn_start beyond the run: the buffer holds exactly what the
+        # fleet emitted, row k of pass t at slot t * n + k.
+        agent = FactoredDQNAgent(
+            vec.envs[0].obs_dim,
+            vec.envs[0].action_space,
+            config=DQNConfig(hidden=(8,), batch_size=8, learn_start=10_000),
+            rng=0,
+        )
+        VectorTrainer(vec, agent, config=TrainerConfig(n_episodes=2)).train()
+        buf = agent.buffer
+        assert buf._rewards.shape[1] == 4
+        # Replay the stored actions on a fresh fleet: every stored reward
+        # row is the env's per-zone decomposition, not the shared fallback.
+        replay = fleet()
+        replay.reset()
+        for t in range(len(buf) // 2):
+            rows = slice(2 * t, 2 * t + 2)
+            _, _, _, info = replay.step(buf._actions[rows])
+            assert np.array_equal(buf._rewards[rows], info.reward_per_zone[:, :4])
 
-        legacy = build(batched_ingest=False)
-        legacy.train()
-        state = legacy.state_dict()
-        assert state["batched_ingest"] is False
 
-        # An unpinned trainer adopts the checkpoint's mode.
-        resumed = build()
-        assert resumed._batched_ingest
-        resumed.load_state_dict(state)
-        assert not resumed._batched_ingest
+class TestIngestFormatMarker:
+    """Checkpoints carry ``batched_ingest: True``; one without it came
+    from the per-row store/learn loop and cannot resume bit-exactly."""
 
-        # An explicit pin that disagrees is an error, not a silent switch.
-        pinned = build(batched_ingest=True)
-        with pytest.raises(ValueError, match="batched_ingest"):
-            pinned.load_state_dict(state)
-
-    def test_pre_batching_checkpoint_pins_per_row_loop(self, summer_weather):
-        # Checkpoints from before batched ingest carry no key: the
-        # per-row loop produced them, so resume keeps it.
-        vec = VectorHVACEnv([_make_env(summer_weather, s) for s in range(2)])
+    def _trained_state(self, weather):
+        vec = VectorHVACEnv([_make_env(weather, s) for s in range(2)])
         trainer = VectorTrainer(
             vec, _tiny_agent(vec.envs[0]), config=TrainerConfig(n_episodes=2)
         )
         trainer.train()
         state = trainer.state_dict()
+        assert state["batched_ingest"] is True
+        return trainer, state
+
+    def _assert_refused_untouched(self, weather, state):
+        vec = VectorHVACEnv([_make_env(weather, s) for s in range(2)])
+        agent = _tiny_agent(vec.envs[0], rng=1)
+        fresh = VectorTrainer(vec, agent, config=TrainerConfig(n_episodes=2))
+        weights = [p.value.copy() for p in agent.online.parameters()]
+        with pytest.raises(ValueError, match="per-row ingest loop"):
+            fresh.load_state_dict(state)
+        # Refused before any state changed.
+        assert fresh.episodes_done == 0 and fresh._fleet_steps == 0
+        assert fresh._obs is None and agent.total_steps == 0
+        for before, p in zip(weights, agent.online.parameters()):
+            assert np.array_equal(before, p.value)
+
+    def _assert_agent_still_serves(self, trainer, state):
+        from repro.serve.registry import agent_from_checkpoint
+
+        served = agent_from_checkpoint(state)
+        for want, got in zip(
+            trainer.agent.online.parameters(), served.online.parameters()
+        ):
+            assert np.array_equal(want.value, got.value)
+
+    def test_refuses_false_marker(self, summer_weather):
+        trainer, state = self._trained_state(summer_weather)
+        state["batched_ingest"] = False
+        self._assert_refused_untouched(summer_weather, state)
+        self._assert_agent_still_serves(trainer, state)
+
+    def test_refuses_missing_marker(self, summer_weather):
+        trainer, state = self._trained_state(summer_weather)
         del state["batched_ingest"]
-        resumed = VectorTrainer(
-            VectorHVACEnv([_make_env(summer_weather, s) for s in range(2)]),
-            _tiny_agent(vec.envs[0]),
-            config=TrainerConfig(n_episodes=2),
-        )
-        resumed.load_state_dict(state)
-        assert not resumed._batched_ingest
+        self._assert_refused_untouched(summer_weather, state)
+        self._assert_agent_still_serves(trainer, state)

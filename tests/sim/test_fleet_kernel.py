@@ -1,11 +1,12 @@
 """The fleet's single RC update and the control-step kernel it runs.
 
-:func:`~repro.env.kernel.advance` is the one RC update shared by
-:class:`~repro.sim.BatchRCNetwork` and the control-step kernel that
-:class:`~repro.sim.VectorHVACEnv` steps.  These tests pin that sharing
-down bit for bit, and check that a fleet's rows are independent of each
-other: a building steps to the same bytes whether it runs alone or next
-to others.
+:func:`~repro.env.kernel.advance`, run on the propagators of a
+:class:`~repro.sim.BatchRCNetwork`, is the one RC update of the
+control-step kernel that :class:`~repro.sim.VectorHVACEnv` steps.  These
+tests check it against the scalar :class:`RCNetwork` step, pin the
+kernel to it bit for bit, and check that a fleet's rows are independent
+of each other: a building steps to the same bytes whether it runs alone
+or next to others.
 """
 
 import numpy as np
@@ -72,17 +73,6 @@ def _row_rollout(vec, actions, n_steps=N_STEPS):
 
 
 class TestAdvance:
-    def test_matches_batch_network_step_bytes(self, sweep_seed):
-        rng = np.random.default_rng(sweep_seed)
-        nets = [_random_network(rng, z) for z in (1, 2, 3, 3)]
-        batch, temps, temp_out, heat = _padded_inputs(rng, nets)
-        decay, gain = batch._propagators(900.0)
-        direct = advance(
-            decay, gain, temps, temp_out, heat, batch.capacitance, batch.ua_ambient
-        )
-        stepped = batch.step(temps, temp_out, heat, 900.0)
-        assert direct.tobytes() == stepped.tobytes()
-
     def test_matches_scalar_networks(self, sweep_seed):
         rng = np.random.default_rng(sweep_seed)
         nets = [_random_network(rng, z) for z in (1, 2, 4)]
@@ -145,8 +135,10 @@ class TestStepKernel:
                 + vec._tables.gains[np.arange(vec.n_envs), vec._idx - 1]
                 + _hvac_heat(vec, info.levels, before)
             )
-            expected = vec.batch_net.step(
-                before, info.temp_out_c, heat, vec.dt_seconds
+            decay, gain = vec.batch_net._propagators(vec.dt_seconds)
+            expected = advance(
+                decay, gain, before, info.temp_out_c, heat,
+                vec.batch_net.capacitance, vec.batch_net.ua_ambient,
             )
             assert info.temps_c.tobytes() == expected.tobytes()
 

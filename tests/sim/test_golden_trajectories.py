@@ -2,7 +2,8 @@
 
 The committed fixtures (``tests/golden/trajectories.json``) pin the
 byte-exact trajectories every registered scenario produces under fixed
-seeds and actions, for the scalar and the vector env alike.  A digest
+seeds and actions: one record per scenario, which the vector env and the
+scalar envs stepped in lockstep must both reproduce.  A digest
 mismatch means the dynamics, observation pipeline, tariff pricing, or
 RNG plumbing silently drifted — regenerate deliberately with
 ``tools/make_golden.py`` and review the fixture diff.
@@ -19,8 +20,7 @@ from repro.sim.golden import (
     GOLDEN_ENV_SEED,
     GOLDEN_N_ENVS,
     GOLDEN_N_STEPS,
-    golden_scalar_record,
-    golden_vector_record,
+    GOLDEN_ROLLOUTS,
 )
 
 FIXTURE_PATH = Path(__file__).resolve().parent.parent / "golden" / "trajectories.json"
@@ -46,23 +46,21 @@ def test_every_registered_scenario_has_a_fixture(fixtures):
     )
 
 
-@pytest.mark.parametrize("scenario", sorted(list_scenarios()))
-def test_scalar_trajectory_matches_golden(fixtures, scenario):
-    record = golden_scalar_record(scenario)
-    stored = fixtures[scenario]["scalar"]
+def _check(fixtures, scenario, kind):
+    record = GOLDEN_ROLLOUTS[kind](scenario)
+    stored = fixtures[scenario]
     assert record["sha256"] == stored["sha256"], (
-        f"scalar dynamics drift in {scenario!r}: probes now "
+        f"{kind} dynamics drift in {scenario!r}: probes now "
         f"{record['final_temps_c']} / {record['total_reward']}, fixture has "
         f"{stored['final_temps_c']} / {stored['total_reward']}"
     )
+
+
+@pytest.mark.parametrize("scenario", sorted(list_scenarios()))
+def test_scalar_trajectory_matches_golden(fixtures, scenario):
+    _check(fixtures, scenario, "scalar")
 
 
 @pytest.mark.parametrize("scenario", sorted(list_scenarios()))
 def test_vector_trajectory_matches_golden(fixtures, scenario):
-    record = golden_vector_record(scenario)
-    stored = fixtures[scenario]["vector"]
-    assert record["sha256"] == stored["sha256"], (
-        f"vector dynamics drift in {scenario!r}: probes now "
-        f"{record['final_temps_c']} / {record['total_reward']}, fixture has "
-        f"{stored['final_temps_c']} / {stored['total_reward']}"
-    )
+    _check(fixtures, scenario, "vector")

@@ -2,10 +2,12 @@
 """Regenerate the golden-trajectory fixtures.
 
 Writes ``tests/golden/trajectories.json``: one hashed rollout record per
-registered scenario preset, for both the scalar and the vector env (see
-:mod:`repro.sim.golden` for what the digest covers).  Run this ONLY when
-a dynamics change is intentional — the diff of the fixture file is the
-reviewable record of which scenarios moved.
+registered scenario preset.  The vector env and the scalar envs stepped
+in lockstep must hash to that same record (see :mod:`repro.sim.golden`
+for what the digest covers); a scenario where they differ is named and
+nothing is written.  Run this ONLY when a dynamics change is
+intentional — the diff of the fixture file is the reviewable record of
+which scenarios moved.
 
 Usage::
 
@@ -60,17 +62,27 @@ def main() -> int:
     if args.check:
         stored = existing.get("scenarios", {})
         problems = []
-        for name, record in records.items():
-            for kind in ("scalar", "vector"):
-                want = stored.get(name, {}).get(kind, {}).get("sha256")
-                got = record[kind]["sha256"]
-                if want != got:
-                    problems.append(f"{name}/{kind}: stored {want} != computed {got}")
+        for name, rollouts in records.items():
+            want = stored.get(name, {}).get("sha256")
+            for kind, record in rollouts.items():
+                if want != record["sha256"]:
+                    problems.append(
+                        f"{name}/{kind}: stored {want} != computed {record['sha256']}"
+                    )
         if problems:
             print("\n".join(problems), file=sys.stderr)
             return 1
         print(f"golden check: {len(records)} scenario(s) OK")
         return 0
+
+    split = [name for name, r in records.items() if r["scalar"] != r["vector"]]
+    if split:
+        print(
+            f"scalar and vector rollouts differ for {split}; not writing",
+            file=sys.stderr,
+        )
+        return 1
+    records = {name: rollouts["vector"] for name, rollouts in records.items()}
 
     payload = {
         "meta": {

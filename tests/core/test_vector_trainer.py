@@ -126,6 +126,70 @@ class TestVectorTrainer:
         assert np.isfinite(vec_returns).all()
         assert abs(np.mean(vec_returns) - np.mean(scalar_returns)) < 50.0
 
+
+class TestBatchedIngest:
+    """Each fleet pass feeds the agent one store_batch write; it must
+    store exactly what a per-row store loop over the same transitions
+    stores."""
+
+    def test_dqn_buffer_identical_to_per_row_loop(self, summer_weather):
+        n = 3
+
+        def fleet():
+            return VectorHVACEnv([_make_env(summer_weather, s) for s in range(n)])
+
+        def agent_for(vec):
+            # learn_start beyond the run: no update perturbs the policy.
+            return DQNAgent(
+                vec.envs[0].obs_dim,
+                vec.envs[0].action_space,
+                config=DQNConfig(hidden=(8,), batch_size=8, learn_start=10_000),
+                rng=0,
+            )
+
+        vec = fleet()
+        agent = agent_for(vec)
+        # Four episodes on three envs: two fleet passes, so the buffer
+        # spans an autoreset boundary.
+        VectorTrainer(vec, agent, config=TrainerConfig(n_episodes=4)).train()
+        buf = agent.buffer
+        assert len(buf) == 2 * n * 96
+
+        # Replay the stored actions on a fresh fleet and store every row
+        # one at a time, bootstrapping done rows from the terminal obs.
+        replay = fleet()
+        ref = agent_for(replay)
+        space = replay.envs[0].action_space
+        obs = replay.reset()
+        for t in range(len(buf) // n):
+            actions = space.unflatten_batch(buf._actions[n * t : n * t + n, 0])
+            next_obs, rewards, dones, info = replay.step(actions)
+            for k in range(n):
+                boot = info.terminal_obs[k] if dones[k] else next_obs[k]
+                ref.store(obs[k], actions[k], rewards[k], boot, bool(dones[k]))
+            obs = next_obs
+        rb = ref.buffer
+        assert agent.total_steps == ref.total_steps
+        assert buf._cursor == rb._cursor and len(buf) == len(rb)
+        for attr in ("_obs", "_actions", "_rewards", "_next_obs", "_dones"):
+            assert np.array_equal(getattr(buf, attr), getattr(rb, attr)), attr
+        # Each env ended one episode per pass, the first mid-buffer.
+        assert buf._dones.sum() == 2 * n and buf._dones[: n * 96].sum() == n
+
+    def test_learning_run_reaches_same_episode_count(self, summer_weather):
+        # Whatever the fleet size, a learning run logs exactly the
+        # configured episodes and stores every transition of the passes
+        # it took to complete them.
+        for n in (1, 2, 4):
+            vec = VectorHVACEnv([_make_env(summer_weather, s) for s in range(n)])
+            agent = _tiny_agent(vec.envs[0])
+            trainer = VectorTrainer(vec, agent, config=TrainerConfig(n_episodes=4))
+            log = trainer.train()
+            assert len(log.series("episode_return")) == 4, n
+            assert trainer.episodes_done == 4
+            assert agent.total_steps == -(-4 // n) * n * 96
+            assert len(log.series("loss")) > 0
+
     def test_profiler_covers_vector_phases(self, summer_weather):
         from repro.utils.profiling import PhaseTimer
 
@@ -143,7 +207,7 @@ class TestVectorTrainer:
         # calls are charged per env-step, not per fleet pass.
         assert timer.calls("env_step") == 2 * 96
 
-    def test_routes_reward_per_zone_to_factored_agent(self, summer_weather):
+    def test_factored_agent_routes_reward_per_zone(self, summer_weather):
         from repro.building import four_zone_office
         from repro.core import FactoredDQNAgent
 
@@ -180,6 +244,46 @@ class TestVectorTrainer:
             rows = slice(2 * t, 2 * t + 2)
             _, _, _, info = replay.step(buf._actions[rows])
             assert np.array_equal(buf._rewards[rows], info.reward_per_zone[:, :4])
+
+
+    def test_batched_ingest_true_requires_protocol(self, summer_weather):
+        # An agent with only part of the batched protocol is refused, and
+        # the error names just the hooks it lacks.
+        class SelectOnly:
+            def select_actions(self, obs, explore=True):
+                return np.zeros(len(obs), dtype=int)
+
+        vec = VectorHVACEnv([_make_env(summer_weather, 0)])
+        with pytest.raises(
+            ValueError, match="SelectOnly lacks store_batch, learn_batch$"
+        ):
+            VectorTrainer(vec, SelectOnly(), config=TrainerConfig(n_episodes=1))
+
+    def test_checkpoint_records_and_restores_ingest_mode(self, summer_weather):
+        def build(rng):
+            vec = VectorHVACEnv([_make_env(summer_weather, s) for s in range(2)])
+            return VectorTrainer(
+                vec, _tiny_agent(vec.envs[0], rng=rng),
+                config=TrainerConfig(n_episodes=4),
+            )
+
+        trainer = build(0)
+        trainer.train(until=2)
+        state = trainer.state_dict()
+        assert state["batched_ingest"] is True
+
+        resumed = build(1)
+        resumed.load_state_dict(state)
+        assert resumed.episodes_done == 2
+        assert resumed.state_dict()["batched_ingest"] is True
+        # The restored run continues exactly as the original does.
+        trainer.train()
+        resumed.train()
+        assert resumed.episodes_done == 4
+        for key in ("episode_return", "loss"):
+            assert np.array_equal(
+                trainer.logger.series(key), resumed.logger.series(key)
+            ), key
 
 
 class TestIngestFormatMarker:

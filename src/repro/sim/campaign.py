@@ -166,14 +166,17 @@ def run_campaign_job(job: CampaignJob) -> CampaignRow:
 
     Module-level (not a closure) so process-pool executors can pickle it.
 
-    Each cell deliberately builds its fleet from scratch rather than
-    sharing one per scenario: seeded env RNGs advance as episodes run, so
-    a shared fleet would hand the second controller different weather
-    noise and initial temperatures than the first.  Rebuilding gives
-    every controller a byte-identical world per seed — the property that
-    makes campaign columns comparable.  Faulted cells wrap the fleet in
-    a :class:`~repro.faults.FaultyVectorHVACEnv` seeded by the same env
-    seeds, so each fault column perturbs that identical world.
+    Each cell deliberately builds a fresh fleet with fresh generators
+    rather than sharing one per scenario: seeded env RNGs advance as
+    episodes run, so a shared fleet would hand the second controller
+    different forecast noise and initial temperatures than the first.
+    Rebuilding gives every controller a byte-identical world per seed —
+    the property that makes campaign columns comparable.  Only the
+    read-only weather series are shared: inside a campaign run
+    (:func:`~repro.sim.grid.run_grid`) each (scenario, seed)'s series
+    is generated once and reused by every cell.  Faulted cells wrap the
+    fleet in a :class:`~repro.faults.FaultyVectorHVACEnv` seeded by the
+    same env seeds, so each fault column perturbs that identical world.
     """
     vec_env = VectorHVACEnv(build_fleet(job.scenario, job.seeds), autoreset=False)
     if not job.fault.is_clean:

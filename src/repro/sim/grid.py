@@ -10,7 +10,8 @@ holds everything the two grid kinds share:
 * :func:`run_grid` — the resume-execute-persist loop.  Cells already in
   an :class:`~repro.store.ExperimentStore` load instead of running;
   pending cells run serially or over a process pool and persist as they
-  complete, so a killed sweep restarts where it died.
+  complete, so a killed sweep restarts where it died.  Within one run,
+  cells share each (scenario, seed)'s weather series.
 * :class:`GridResult` — ordered rows with the four-axis ``row(...)``
   lookup.
 
@@ -38,7 +39,7 @@ from typing import (
 )
 
 from repro.faults.profiles import NO_FAULT, get_fault_profile
-from repro.sim.scenarios import get_scenario
+from repro.sim.scenarios import get_scenario, run_weather
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store uses eval)
     from repro.store import ExperimentStore
@@ -159,6 +160,11 @@ def run_grid(
     completed row is persisted with ``put_cell`` before the next one
     runs.  Stored cells are matched on identity alone: the run manifest,
     not the store, records the rest of the spec.
+
+    The executor loop runs inside :func:`~repro.sim.scenarios.run_weather`,
+    so cells that build the same (scenario, seed) share its weather
+    series; every cell still builds a fresh fleet with fresh generators,
+    and nothing is shared with another run.
     """
     if executor not in ("serial", "process"):
         raise ValueError(
@@ -208,7 +214,9 @@ def run_grid(
             # attached SnapshotSampler captures here on its cadence.
             tel.pulse()
 
-    with tel.span(names.run_span, cat=cat, cells=len(jobs), pending=len(pending)):
+    with tel.span(
+        names.run_span, cat=cat, cells=len(jobs), pending=len(pending)
+    ), run_weather():
         if executor == "serial":
             for j in pending:
                 record(j, *_timed(run_cell, jobs[j]))

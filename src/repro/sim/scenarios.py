@@ -10,8 +10,10 @@ can be specified as plain strings on the command line.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.building.building import Building
 from repro.building.presets import (
@@ -29,6 +31,7 @@ from repro.hvac.tariffs import (
 )
 from repro.utils.validation import check_positive
 from repro.weather.events import inject_heat_wave
+from repro.weather.series import WeatherSeries
 from repro.weather.synthetic import (
     SyntheticWeatherConfig,
     generate_weather,
@@ -136,9 +139,10 @@ class Scenario:
             event_multiplier=self.dr_event_multiplier,
         )
 
-    def build(self, seed: int = 0) -> HVACEnv:
-        """Instantiate the scenario as a scalar env, deterministic in ``seed``."""
-        climate = _CLIMATES[self.climate]()
+    def _weather(self, climate: SyntheticWeatherConfig, seed: int) -> WeatherSeries:
+        """The weather trace of ``seed`` (a deterministic function of the
+        scenario and the seed), drawn through the module's
+        ``generate_weather``."""
         weather = generate_weather(
             climate,
             start_day_of_year=self.start_day_of_year,
@@ -153,22 +157,12 @@ class Scenario:
                 peak_amplitude_c=self.heat_wave_amplitude_c,
                 latitude_deg=climate.latitude_deg,
             )
-        return HVACEnv(
-            _BUILDINGS[self.building](),
-            weather,
-            tariff=self._make_tariff(),
-            comfort=ComfortBand(
-                occupied_low_c=self.comfort_low_c,
-                occupied_high_c=self.comfort_high_c,
-            ),
-            config=HVACEnvConfig(
-                episode_days=self.episode_days,
-                comfort_weight=self.comfort_weight,
-                forecast_horizon=self.forecast_horizon,
-                randomize_start_day=self.randomize_start_day,
-            ),
-            rng=seed,
-        )
+        return weather
+
+    def build(self, seed: int = 0) -> HVACEnv:
+        """Instantiate the scenario as a scalar env, deterministic in ``seed``
+        (the one-seed case of :func:`build_fleet`)."""
+        return build_fleet(self, [seed])[0]
 
     def with_overrides(self, **changes) -> "Scenario":
         """A copy of the scenario with fields replaced."""
@@ -253,15 +247,82 @@ def _register_presets() -> None:
 _register_presets()
 
 
+#: The open run's weather series by (scenario, seed) (see
+#: :func:`run_weather`); ``None`` outside a run.
+_RUN_WEATHER: ContextVar[Optional[Dict[Tuple[Scenario, int], WeatherSeries]]] = (
+    ContextVar("run_weather", default=None)
+)
+
+
+@contextmanager
+def run_weather() -> Iterator[None]:
+    """Share weather series between the :func:`build_fleet` calls in this
+    block.
+
+    A series is a deterministic function of (scenario, seed) and nothing
+    writes to it, so a run that builds a scenario's fleet once per cell
+    generates each seed's weather once, whatever order its cells run in.
+    The memo keeps every series the block built (12 KB of arrays per
+    8-day series, so ~1.2 MB for the 96 of perfbench's campaign-cold)
+    and closes with the block, also when the block raises; nothing is
+    shared across runs.
+    """
+    token = _RUN_WEATHER.set({})
+    try:
+        yield
+    finally:
+        _RUN_WEATHER.reset(token)
+
+
 def build_fleet(
-    scenario: Scenario | str, seeds: Sequence[int]
+    scenario: Scenario | str, seeds: Iterable[int]
 ) -> List[HVACEnv]:
-    """Build one env per seed for a scenario (or registered name)."""
+    """Build one env per seed for a scenario (or registered name).
+
+    The seed-independent world — climate, building (with its RC network),
+    tariff, comfort band and env config — is built once per call and
+    shared by every env; each seed gets its own weather trace and a fresh
+    env seeded by it.  Inside :func:`run_weather` a seed's weather comes
+    from the run's memo when an earlier call built it.
+    """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
+    seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("need at least one seed")
-    return [scenario.build(int(seed)) for seed in seeds]
+    memo = _RUN_WEATHER.get()
+    if memo is None:
+        memo = {}
+
+    climate = _CLIMATES[scenario.climate]()
+    building = _BUILDINGS[scenario.building]()
+    tariff = scenario._make_tariff()
+    comfort = ComfortBand(
+        occupied_low_c=scenario.comfort_low_c,
+        occupied_high_c=scenario.comfort_high_c,
+    )
+    config = HVACEnvConfig(
+        episode_days=scenario.episode_days,
+        comfort_weight=scenario.comfort_weight,
+        forecast_horizon=scenario.forecast_horizon,
+        randomize_start_day=scenario.randomize_start_day,
+    )
+    envs = []
+    for seed in seeds:
+        weather = memo.get((scenario, seed))
+        if weather is None:
+            weather = memo[scenario, seed] = scenario._weather(climate, seed)
+        envs.append(
+            HVACEnv(
+                building,
+                weather,
+                tariff=tariff,
+                comfort=comfort,
+                config=config,
+                rng=seed,
+            )
+        )
+    return envs
 
 
 # --------------------------------------------------------- fault presets

@@ -192,9 +192,11 @@ def expand_suite(spec: SuiteSpec) -> List[SuiteJob]:
 def build_suite_gateway(job: SuiteJob):
     """A fresh deterministic gateway for one suite cell.
 
-    Every cell rebuilds its fleet from scratch (campaign rule: seeded env
-    RNGs advance as episodes run, so sharing a fleet would hand later
-    cells a different world).  Faulted cells wrap the same seeded world
+    Every cell builds a fresh fleet with fresh generators (campaign rule:
+    seeded env RNGs advance as episodes run, so sharing a fleet would
+    hand later cells a different world); within a suite run the
+    read-only weather series of each (scenario, seed) is generated once
+    and shared between cells.  Faulted cells wrap the same seeded world
     in a :class:`~repro.faults.FaultyVectorHVACEnv`; ``dqn`` cells
     publish a seed-initialized agent so batched inference is exercised
     deterministically.

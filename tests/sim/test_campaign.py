@@ -15,6 +15,18 @@ from repro.sim import (
 # Short scenarios keep the campaign tests fast.
 _FAST = get_scenario("baseline-tou").with_overrides(name="fast-a", weather_days=2.0)
 _FAST_B = get_scenario("flat-tariff").with_overrides(name="fast-b", weather_days=2.0)
+# Two controllers x two faults x two seeds over two scenarios with
+# different weather: every cell of a scenario reuses the same seeds'
+# weather in a serial run.
+_PARITY = CampaignSpec(
+    scenarios=(
+        _FAST,
+        get_scenario("heat-wave").with_overrides(name="fast-hw", weather_days=2.0),
+    ),
+    controllers=("thermostat", "pid"),
+    faults=("none", "noisy-sensors"),
+    seeds=(0, 3),
+)
 
 
 class TestExpansion:
@@ -80,13 +92,15 @@ class TestExecution:
         assert "cost_usd" in rows[0]["mean"]
 
     def test_single_job_matches_campaign_row(self):
-        spec = CampaignSpec(scenarios=(_FAST,), controllers=("pid",), seeds=(0,))
-        job = expand_campaign(spec)[0]
-        direct = run_campaign_job(job)
-        via_campaign = run_campaign(spec).row("fast-a", "pid")
-        assert direct.mean["cost_usd"] == pytest.approx(
-            via_campaign.mean["cost_usd"]
-        )
+        # Bare jobs run outside any grid run, so they build every series
+        # themselves: the memo-free reference.  A serial campaign shares
+        # each (scenario, seed)'s weather between its cells.  Rows must
+        # agree to the last bit.
+        via_campaign = run_campaign(_PARITY)
+        direct = [run_campaign_job(job) for job in expand_campaign(_PARITY)]
+        assert [r.as_dict() for r in direct] == [
+            r.as_dict() for r in via_campaign.rows
+        ]
 
     def test_unknown_executor_rejected(self):
         spec = CampaignSpec(scenarios=(_FAST,))
@@ -94,14 +108,11 @@ class TestExecution:
             run_campaign(spec, executor="gpu")
 
     def test_process_executor(self):
-        spec = CampaignSpec(
-            scenarios=(_FAST,), controllers=("thermostat",), seeds=(0,)
-        )
         try:
-            result = run_campaign(spec, executor="process", max_workers=2)
+            result = run_campaign(_PARITY, executor="process", max_workers=2)
         except (OSError, PermissionError) as exc:  # sandboxed CI: no semaphores
             pytest.skip(f"process pool unavailable: {exc}")
-        serial = run_campaign(spec)
-        assert result.row("fast-a", "thermostat").mean["cost_usd"] == pytest.approx(
-            serial.row("fast-a", "thermostat").mean["cost_usd"]
-        )
+        serial = run_campaign(_PARITY)
+        assert [r.as_dict() for r in result.rows] == [
+            r.as_dict() for r in serial.rows
+        ]

@@ -101,3 +101,20 @@ class TestScenarioBuild:
         )
         with pytest.raises(ValueError):
             build_fleet("baseline-tou", seeds=[])
+
+    @pytest.mark.parametrize(
+        "seeds", [np.arange(3), np.array([0, 1, 2], dtype=np.uint8), range(3)]
+    )
+    def test_build_fleet_takes_any_seed_iterable(self, seeds):
+        expected = build_fleet("baseline-tou", [0, 1, 2])
+        envs = build_fleet("baseline-tou", seeds)
+        assert len(envs) == 3
+        for env, ref in zip(envs, expected):
+            assert np.array_equal(env.weather.temp_out_c, ref.weather.temp_out_c)
+            assert np.array_equal(env.weather.ghi_w_m2, ref.weather.ghi_w_m2)
+            assert env._rng.bit_generator.state == ref._rng.bit_generator.state
+            assert np.array_equal(env.reset(), ref.reset())
+
+    def test_build_fleet_refuses_an_empty_generator(self):
+        with pytest.raises(ValueError, match="need at least one seed"):
+            build_fleet("baseline-tou", (seed for seed in []))
